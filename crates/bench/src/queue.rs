@@ -8,14 +8,20 @@
 //! schedules a second simulation: the submitter simply waits on (or
 //! immediately receives) the one result.
 //!
-//! Every newly computed point is inserted into a schema-versioned
-//! [`Checkpoint`] under `pt/<fingerprint>` and saved atomically *before*
+//! Every newly computed point is committed to the run's checkpoint
+//! journal ([`CheckpointJournal`]) under `pt/<fingerprint>` *before*
 //! waiters are woken, so a kill at any instant loses at most the points
-//! still in flight. Re-creating the farm with the same name and identity
-//! restores finished points bit-exactly ([`maps_sim::SimReport`]'s JSON
-//! codec stores floats as raw IEEE-754 bits) and re-simulates only the
-//! rest; points whose fingerprint changed (different `MAPS_ACCESSES`,
-//! configuration or build) simply find nothing to restore.
+//! still in flight. A commit appends one record and rewrites the header's
+//! point count, both synced, so its cost does not grow with the points
+//! already stored. It holds the journal's own lock, not the queue's state
+//! lock, so other workers keep claiming and publishing points meanwhile.
+//! Re-creating the farm with the same name and identity restores finished
+//! points bit-exactly ([`maps_sim::SimReport`]'s JSON codec stores floats
+//! as raw IEEE-754 bits) and re-simulates only the rest; points whose
+//! fingerprint changed (different `MAPS_ACCESSES`, configuration or
+//! build) simply find nothing to restore. A checkpoint that cannot be
+//! used — another campaign's, an older schema version, or unreadable — is
+//! replaced by a fresh one, and the farm says why on stderr.
 //!
 //! Environment knobs (all off by default):
 //!
@@ -30,16 +36,17 @@
 //!   recovery story.
 //! * `MAPS_CRASH_AFTER_POINTS=<n>` — fault-injection hook: exit with
 //!   status 42 immediately after the `n`-th newly computed point has been
-//!   checkpointed (drives the kill/resume equivalence tests).
+//!   committed, still inside the commit section, so the checkpoint holds
+//!   exactly `n` new points (drives the kill/resume equivalence tests).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use maps_obs::Checkpoint;
+use maps_obs::{Checkpoint, CheckpointJournal};
 use maps_sim::SimReport;
 use maps_trace::DetHashMap;
 
@@ -77,15 +84,26 @@ struct FarmInner {
     states: DetHashMap<u64, PointState>,
     queue: VecDeque<(u64, SimJob)>,
     attempts: DetHashMap<u64, u32>,
-    ckpt: Checkpoint,
+    /// Points found in the checkpoint at open, restored on submission.
+    restored: Checkpoint,
     stats: FarmStats,
-    new_points: u64,
     closed: bool,
+}
+
+/// The checkpoint's write side, under its own lock.
+struct Commits {
+    /// `None` when the checkpoint could not be opened: the run goes on
+    /// without one.
+    journal: Option<CheckpointJournal>,
+    /// Points committed by this process (the crash hook's counter).
+    new_points: u64,
 }
 
 /// The shared, checkpointed sweep-point queue.
 pub struct Farm {
     inner: Mutex<FarmInner>,
+    /// Serializes checkpoint commits; never taken while holding `inner`.
+    commits: Mutex<Commits>,
     /// Signalled when work is queued or the farm closes (workers wait).
     work: Condvar,
     /// Signalled when a point resolves (submitters wait).
@@ -106,6 +124,36 @@ pub fn ckpt_key(fingerprint: u64) -> String {
     format!("pt/{fingerprint:016x}")
 }
 
+/// The checkpoint a farm resumes from: the one at `path` when it belongs
+/// to the same name and identity, else an empty one. The message is the
+/// `[farm]` line saying what was found, if anything.
+fn restore(name: &str, identity: u64, path: &Path) -> (Checkpoint, Option<String>) {
+    match Checkpoint::load(path) {
+        Ok(Some(c)) if c.name() == name && c.fingerprint() == identity => {
+            let note = format!(
+                "[farm] resuming from {} ({} points)",
+                path.display(),
+                c.len()
+            );
+            (c, Some(note))
+        }
+        Ok(Some(c)) => {
+            let note = format!(
+                "[farm] {} is for a different campaign (name '{}', fingerprint {:016x} != {identity:016x}); starting fresh",
+                path.display(),
+                c.name(),
+                c.fingerprint()
+            );
+            (Checkpoint::new(name, identity), Some(note))
+        }
+        Ok(None) => (Checkpoint::new(name, identity), None),
+        Err(e) => {
+            let note = format!("[farm] {} unreadable ({e}); starting fresh", path.display());
+            (Checkpoint::new(name, identity), Some(note))
+        }
+    }
+}
+
 /// Best-effort text of a panic payload.
 pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -120,33 +168,21 @@ pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 impl Farm {
     /// Opens the queue, resuming from `ckpt_path` when a checkpoint with
     /// the same name and identity fingerprint exists there (a mismatched
-    /// or unreadable one is discarded — never partially reused).
+    /// or unreadable one is discarded — never partially reused), and
+    /// opens the checkpoint there as the journal new points commit to.
     pub fn new(name: &str, identity_fingerprint: u64, ckpt_path: PathBuf) -> Self {
-        let ckpt = match Checkpoint::load(&ckpt_path) {
-            Ok(Some(c)) if c.name() == name && c.fingerprint() == identity_fingerprint => {
-                eprintln!(
-                    "[farm] resuming from {} ({} points)",
-                    ckpt_path.display(),
-                    c.len()
-                );
-                c
-            }
-            Ok(Some(c)) => {
-                eprintln!(
-                    "[farm] {} is for a different campaign (name '{}', fingerprint {:016x} != {identity_fingerprint:016x}); starting fresh",
-                    ckpt_path.display(),
-                    c.name(),
-                    c.fingerprint()
-                );
-                Checkpoint::new(name, identity_fingerprint)
-            }
-            Ok(None) => Checkpoint::new(name, identity_fingerprint),
+        let (restored, note) = restore(name, identity_fingerprint, &ckpt_path);
+        if let Some(note) = note {
+            eprintln!("{note}");
+        }
+        let journal = match restored.journal(&ckpt_path) {
+            Ok(journal) => Some(journal),
             Err(e) => {
                 eprintln!(
-                    "[farm] {} unreadable ({e}); starting fresh",
+                    "[farm] cannot open checkpoint {} ({e}); points will not be checkpointed",
                     ckpt_path.display()
                 );
-                Checkpoint::new(name, identity_fingerprint)
+                None
             }
         };
         Farm {
@@ -154,10 +190,13 @@ impl Farm {
                 states: DetHashMap::default(),
                 queue: VecDeque::new(),
                 attempts: DetHashMap::default(),
-                ckpt,
+                restored,
                 stats: FarmStats::default(),
-                new_points: 0,
                 closed: false,
+            }),
+            commits: Mutex::new(Commits {
+                journal,
+                new_points: 0,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -189,7 +228,7 @@ impl Farm {
                     return fp;
                 }
                 let restored = inner
-                    .ckpt
+                    .restored
                     .get(&ckpt_key(fp))
                     .and_then(|doc| SimReport::from_json(doc).ok());
                 match restored {
@@ -302,30 +341,13 @@ impl Farm {
         }
     }
 
-    /// Resolves a claimed point: checkpoints the report atomically, *then*
-    /// publishes it and wakes waiters — a kill between the two re-runs
-    /// nothing on resume.
+    /// Resolves a claimed point: commits the report to the checkpoint
+    /// journal, *then* publishes it and wakes waiters — a kill between the
+    /// two re-runs nothing on resume.
     pub fn complete(&self, fingerprint: u64, key: &str, report: SimReport) {
+        self.commit(fingerprint, &report);
         let mut inner = self.lock();
-        inner.ckpt.insert(&ckpt_key(fingerprint), report.to_json());
-        if let Err(e) = inner.ckpt.save(&self.ckpt_path) {
-            eprintln!(
-                "[farm] checkpoint write failed ({}): {e}",
-                self.ckpt_path.display()
-            );
-        }
         inner.stats.computed += 1;
-        inner.new_points += 1;
-        if self.crash_after == Some(inner.new_points) {
-            // Fault-injection hook: die right after the checkpoint hit
-            // disk, the worst moment short of mid-write (covered by the
-            // atomic rename).
-            eprintln!(
-                "[farm] MAPS_CRASH_AFTER_POINTS={} reached; crashing",
-                inner.new_points
-            );
-            std::process::exit(42);
-        }
         let done = inner.stats.computed + inner.stats.restored;
         let known = inner.states.len();
         eprintln!("[farm] {done}/{known} {key}");
@@ -334,6 +356,33 @@ impl Farm {
             .insert(fingerprint, PointState::Done(Box::new(report)));
         drop(inner);
         self.done.notify_all();
+    }
+
+    /// Appends a finished point to the checkpoint journal under the
+    /// journal's lock alone, so the two syncs never stall the queue.
+    fn commit(&self, fingerprint: u64, report: &SimReport) {
+        let doc = report.to_json();
+        let mut commits = self.commits.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(journal) = commits.journal.as_mut() {
+            if let Err(e) = journal.commit(&ckpt_key(fingerprint), &doc) {
+                eprintln!(
+                    "[farm] checkpoint write failed ({}): {e}",
+                    self.ckpt_path.display()
+                );
+            }
+        }
+        commits.new_points += 1;
+        if self.crash_after == Some(commits.new_points) {
+            // Fault-injection hook: die right after the commit hit disk,
+            // still holding the journal so no other worker's record lands
+            // after it — the worst moment short of mid-commit (covered by
+            // the header's committed count).
+            eprintln!(
+                "[farm] MAPS_CRASH_AFTER_POINTS={} reached; crashing",
+                commits.new_points
+            );
+            std::process::exit(42);
+        }
     }
 
     /// Records a failed attempt on a claimed point. Within the retry
@@ -460,12 +509,17 @@ impl Farm {
         self.lock().stats
     }
 
-    /// Removes the checkpoint — the run completed, nothing to resume.
+    /// Closes the checkpoint journal and removes the file — the run
+    /// completed, nothing to resume.
     ///
     /// # Errors
     ///
     /// Any I/O failure other than the file already being gone.
     pub fn remove_checkpoint(&self) -> std::io::Result<()> {
+        self.commits
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .journal = None;
         match std::fs::remove_file(&self.ckpt_path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -614,6 +668,80 @@ mod tests {
         );
         assert_eq!(executions.load(Ordering::Relaxed), 2);
         fresh.remove_checkpoint().expect("cleanup");
+    }
+
+    #[test]
+    fn commits_only_append_to_the_checkpoint() {
+        let ckpt = tmp_ckpt("append");
+        let farm = Farm::new("test", 11, ckpt.clone());
+        let mut images = vec![std::fs::read(&ckpt).expect("journal created at open")];
+        images.extend(drain(
+            &farm,
+            || {
+                (0..4)
+                    .map(|k| {
+                        farm.run_labeled("one", vec![job(k, Benchmark::Gups)])
+                            .expect("point");
+                        std::fs::read(&ckpt).expect("checkpoint")
+                    })
+                    .collect::<Vec<_>>()
+            },
+            &fake_exec,
+        ));
+        let header_len = |bytes: &[u8]| bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        for (k, pair) in images.windows(2).enumerate() {
+            let (before, after) = (&pair[0], &pair[1]);
+            let head = header_len(before);
+            // Only the header's count moved; the records before the k-th
+            // are byte-for-byte where they were.
+            assert_eq!(header_len(after), head);
+            assert_eq!(after[head..before.len()], before[head..], "point {k}");
+            // Nothing but the header and every record.
+            let decoded = Checkpoint::from_bytes(after).expect("valid image");
+            assert_eq!(decoded.len(), k + 1);
+            assert_eq!(after.len(), decoded.to_bytes().len());
+        }
+        farm.remove_checkpoint().expect("cleanup");
+    }
+
+    #[test]
+    fn version_1_checkpoint_restores_nothing_and_says_why() {
+        let ckpt = tmp_ckpt("v1");
+        let point = job(0, Benchmark::Gups);
+        let v1 = maps_obs::Json::Obj(vec![
+            ("schema_version".into(), maps_obs::Json::UInt(1)),
+            ("kind".into(), maps_obs::Json::Str("maps-checkpoint".into())),
+            ("name".into(), maps_obs::Json::Str("test".into())),
+            ("fingerprint".into(), maps_obs::Json::UInt(12)),
+            (
+                "points".into(),
+                maps_obs::Json::Obj(vec![(
+                    ckpt_key(point_fingerprint(&point)),
+                    fake_exec(&point).to_json(),
+                )]),
+            ),
+        ]);
+        maps_obs::write_atomic(&ckpt, v1.to_pretty().as_bytes()).expect("write v1");
+        let (restored, note) = restore("test", 12, &ckpt);
+        assert!(restored.is_empty());
+        let note = note.expect("a v1 checkpoint is reported");
+        assert!(
+            note.contains("unsupported schema_version 1") && note.contains("starting fresh"),
+            "{note}"
+        );
+        let farm = Farm::new("test", 12, ckpt.clone());
+        drain(
+            &farm,
+            || farm.run_labeled("batch", vec![point]).expect("batch"),
+            &fake_exec,
+        );
+        assert_eq!(farm.stats().restored, 0);
+        assert_eq!(farm.stats().computed, 1);
+        assert_eq!(
+            Checkpoint::load(&ckpt).expect("now v2").map(|c| c.len()),
+            Some(1)
+        );
+        farm.remove_checkpoint().expect("cleanup");
     }
 
     #[test]

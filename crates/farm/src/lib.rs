@@ -18,11 +18,13 @@
 //!   supervised worker processes. Figure drivers run on their own threads
 //!   and block per phase; workers pull points in submission order, so
 //!   independent figures interleave.
-//! * **Resume.** Each finished point is written to a schema-versioned
-//!   [`maps_obs::Checkpoint`] under its fingerprint (atomic temp-file +
-//!   rename). A killed campaign re-invoked with the same parameters
-//!   restores finished points bit-exactly and re-simulates only the rest;
-//!   the checkpoint is removed when the campaign completes.
+//! * **Resume.** Each finished point is committed under its fingerprint
+//!   to a schema-versioned, append-only checkpoint journal
+//!   ([`maps_obs::CheckpointJournal`]): one synced record append plus an
+//!   in-place count update, so a commit costs the same at the first point
+//!   and the thousandth. A killed campaign re-invoked with the same
+//!   parameters restores finished points bit-exactly and re-simulates
+//!   only the rest; the checkpoint is removed when the campaign completes.
 //! * **Capture sharing.** Jobs funnel through [`maps_bench::exec_job`],
 //!   so the process-wide front-end capture memo deduplicates trace
 //!   recording across figures: fig2 and fig7 replay one recorded trace

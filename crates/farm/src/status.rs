@@ -2,10 +2,11 @@
 //!
 //! `maps-farm status` correlates three sources, none of which require the
 //! running campaign's cooperation: `campaign.json` (what was planned),
-//! `campaign.ckpt` (which fingerprints have finished — written atomically
-//! after every point), and the per-figure `<name>.manifest.json` files
-//! (which figures completed and wrote their artifacts). It can therefore
-//! watch a live run, inspect a crashed one, or confirm a finished one.
+//! `campaign.ckpt` (which fingerprints have finished — the append-only
+//! journal the queue commits every point to, read up to its committed
+//! count), and the per-figure `<name>.manifest.json` files (which figures
+//! completed and wrote their artifacts). It can therefore watch a live
+//! run, inspect a crashed one, or confirm a finished one.
 
 use std::path::Path;
 
@@ -166,12 +167,16 @@ mod tests {
         assert_eq!(status.finished_points, 0);
         assert!(!status.complete());
 
-        // Checkpoint two points under the plan's identity.
-        let mut ckpt = Checkpoint::new("campaign", plan.identity_fingerprint());
+        // Commit two points under the plan's identity, as the queue does.
+        let mut journal = Checkpoint::new("campaign", plan.identity_fingerprint())
+            .journal(&dir.join("campaign.ckpt"))
+            .expect("open journal");
         for p in plan.points.iter().take(2) {
-            ckpt.insert(&format!("pt/{:016x}", p.fingerprint), maps_obs::Json::Null);
+            journal
+                .commit(&ckpt_key(p.fingerprint), &maps_obs::Json::Null)
+                .expect("commit");
         }
-        ckpt.save(&dir.join("campaign.ckpt")).expect("save ckpt");
+        drop(journal);
         let status = campaign_status(&dir).expect("status");
         assert_eq!(status.finished_points, 2);
         let fig2_done: usize = status

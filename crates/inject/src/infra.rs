@@ -177,13 +177,20 @@ impl Artifact {
         })
     }
 
-    /// A sweep checkpoint (must decode via `Checkpoint::from_json`).
+    /// A sweep checkpoint: its on-disk image, decoded the way a resuming
+    /// farm reads it (`Checkpoint::from_bytes`); intact when it re-encodes
+    /// to the original image.
     pub fn checkpoint(c: &Checkpoint) -> Self {
-        Self::json("checkpoint", c.to_json().to_pretty(), |doc| {
-            Checkpoint::from_json(doc)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        })
+        let bytes = c.to_bytes();
+        let pristine = bytes.clone();
+        Artifact {
+            name: "checkpoint",
+            bytes,
+            decode: Box::new(move |b| match Checkpoint::from_bytes(b) {
+                Ok(c) => Ok(c.to_bytes() == pristine),
+                Err(e) => Err(e.to_string()),
+            }),
+        }
     }
 
     /// A serialized simulation report (must decode via

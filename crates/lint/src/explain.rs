@@ -138,10 +138,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "IO-001" => {
             "IO-001: artifact writes go through the atomic writer.\n\
              \n\
-             bench/obs/farm may not call File::create or fs::write directly\n\
-             (except the designated crates/obs/src/atomic.rs): a crash between\n\
-             create and flush leaves a torn TSV/manifest that poisons resumed\n\
-             campaigns. The atomic writer stages to a temp file and renames.\n\
+             bench/obs/farm may not call File::create or fs::write directly, or\n\
+             open files through OpenOptions (except the designated\n\
+             crates/obs/src/atomic.rs): a crash between create and flush leaves\n\
+             a torn TSV/manifest that poisons resumed campaigns. The atomic\n\
+             writer stages to a temp file and renames; the checkpoint journal's\n\
+             durable appender lives beside it.\n\
              \n\
              example (flagged, in crates/farm):\n\
                  std::fs::write(path, tsv)?;\n\

@@ -74,8 +74,9 @@ const PANIC_FREE_PATHS: [&str; 15] = [
 /// temp-file + rename funnel (IO-001).
 const IO_FUNNEL_CRATES: [&str; 3] = ["bench", "obs", "farm"];
 
-/// The one file allowed to open output files directly: the atomic-write
-/// helper *is* the funnel. Hard-exempted here (not via lint.allow, which
+/// The one file allowed to open output files for writing: the
+/// atomic-write helper (and the durable appender beside it) *is* the
+/// funnel. Hard-exempted here (not via lint.allow, which
 /// would rot into an ALLOW-001 stale entry whenever the helper is clean).
 const IO_FUNNEL_HELPER: &str = "crates/obs/src/atomic.rs";
 
@@ -483,13 +484,14 @@ fn panic_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
 
 /// IO-001: raw output-file writes in result-publishing crates.
 ///
-/// Flags `File::create` and `fs::write` token sequences in
-/// `crates/bench/src`, `crates/obs/src`, and `crates/farm/src`, the
-/// crates that publish results (TSVs, manifests, campaign documents,
-/// checkpoints). Everything there must go
-/// through `maps_obs::write_atomic` so a crash or injected fault can
-/// never leave a torn result file for a reader — or a resumed run — to
-/// trust. The helper file itself is hard-exempt.
+/// Flags `File::create` and `fs::write` token sequences and every
+/// `OpenOptions` token in `crates/bench/src`, `crates/obs/src`, and
+/// `crates/farm/src`, the crates that publish results (TSVs, manifests,
+/// campaign documents, checkpoints). Everything there must go through
+/// `maps_obs::write_atomic` (or the checkpoint journal built on the
+/// durable appender beside it) so a crash or injected fault can never
+/// leave a torn result file for a reader — or a resumed run — to trust.
+/// The helper file itself is hard-exempt.
 fn io_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
     if ctx.path == IO_FUNNEL_HELPER
         || !ctx.in_crate_src()
@@ -499,7 +501,7 @@ fn io_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
     {
         return;
     }
-    for i in 0..ctx.toks.len().saturating_sub(3) {
+    for i in 0..ctx.toks.len() {
         let raw_create = ctx.ident_at(i, "File")
             && ctx.punct_at(i + 1, ':')
             && ctx.punct_at(i + 2, ':')
@@ -508,7 +510,17 @@ fn io_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
             && ctx.punct_at(i + 1, ':')
             && ctx.punct_at(i + 2, ':')
             && ctx.ident_at(i + 3, "write");
-        if (raw_create || raw_write) && !ctx.in_test(i) {
+        let raw_open = ctx.ident_at(i, "OpenOptions");
+        let what = if raw_create {
+            "File::create"
+        } else if raw_write {
+            "fs::write"
+        } else if raw_open {
+            "OpenOptions"
+        } else {
+            continue;
+        };
+        if !ctx.in_test(i) {
             out.push(RawDiag {
                 absorbable: true,
                 diag: Diagnostic {
@@ -516,14 +528,9 @@ fn io_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
                     file: ctx.path.to_string(),
                     line: ctx.toks[i].line,
                     message: format!(
-                        "raw `{}` in a result-publishing crate: route the write through \
+                        "raw `{what}` in a result-publishing crate: route the write through \
                          `maps_obs::write_atomic` (temp file + rename) so a crash or injected \
-                         fault can never leave a torn result file",
-                        if raw_create {
-                            "File::create"
-                        } else {
-                            "fs::write"
-                        }
+                         fault can never leave a torn result file"
                     ),
                     chain: Vec::new(),
                 },
@@ -751,7 +758,8 @@ mod tests {
     fn io_rule_flags_raw_output_writes_in_result_crates() {
         let create = "fn f() { let _ = std::fs::File::create(\"out.tsv\"); }\n";
         let write = "fn f() { std::fs::write(\"out.tsv\", b\"x\").ok(); }\n";
-        for src in [create, write] {
+        let open = "fn f() { let _ = std::fs::OpenOptions::new().append(true).open(\"c\"); }\n";
+        for src in [create, write, open] {
             let d = diags("crates/bench/src/x.rs", src);
             assert_eq!(d.len(), 1, "{d:?}");
             assert_eq!(d[0].rule, "IO-001");

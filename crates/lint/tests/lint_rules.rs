@@ -196,7 +196,11 @@ fn io001_fixture_flags_exactly_the_documented_lines() {
         &fixture("io001.rs"),
         &Allowlist::empty(),
     );
-    assert_eq!(shape(&d), vec![("IO-001", 7), ("IO-001", 8)], "{d:#?}");
+    assert_eq!(
+        shape(&d),
+        vec![("IO-001", 7), ("IO-001", 8), ("IO-001", 9)],
+        "{d:#?}"
+    );
     assert!(d[0].message.contains("write_atomic"));
     // The farm publishes campaign documents and checkpoints: same funnel.
     let d = lint_source(
@@ -204,7 +208,11 @@ fn io001_fixture_flags_exactly_the_documented_lines() {
         &fixture("io001.rs"),
         &Allowlist::empty(),
     );
-    assert_eq!(shape(&d), vec![("IO-001", 7), ("IO-001", 8)], "{d:#?}");
+    assert_eq!(
+        shape(&d),
+        vec![("IO-001", 7), ("IO-001", 8), ("IO-001", 9)],
+        "{d:#?}"
+    );
 }
 
 #[test]

@@ -8,11 +8,19 @@
 //! with a single `rename`, which POSIX guarantees to be atomic within a
 //! filesystem.
 //!
+//! The one file updated in place is the checkpoint journal
+//! ([`crate::CheckpointJournal`]): [`DurableFile`] reopens a file that
+//! `write_atomic` published and appends to it or rewrites fixed-width
+//! bytes inside it, syncing each write before it returns. The journal's
+//! format, not a rename, is what keeps a torn update detectable there.
+//!
 //! The `maps-lint` IO-001 rule enforces the funnel: raw `File::create` /
-//! `fs::write` calls under the `maps-bench`/`maps-obs` output paths fail
-//! the gate, so a torn-write regression cannot slip back in.
+//! `fs::write` / `OpenOptions` uses under the `maps-bench`/`maps-obs`/
+//! `maps-farm` sources fail the gate, so a torn-write regression cannot
+//! slip back in.
 
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,9 +72,69 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// Creates the temp file, writes every byte, and syncs it to disk.
 fn stage(tmp: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut file = std::fs::File::create(tmp)?;
+    let mut file = File::create(tmp)?;
     file.write_all(bytes)?;
     file.sync_all()
+}
+
+/// An existing file opened for durable in-place updates: appends at the
+/// end and overwrites of bytes already in it. Each write is synced
+/// (`sync_data`) before it returns, so once a call succeeds its bytes
+/// survive a crash.
+#[derive(Debug)]
+pub(crate) struct DurableFile {
+    file: File,
+    /// Bytes written so far: where the next append starts.
+    len: u64,
+}
+
+impl DurableFile {
+    /// Opens `path` for updates. The file must exist (publish it with
+    /// [`write_atomic`] first); it is neither created nor truncated here.
+    pub(crate) fn open(path: &Path) -> io::Result<Self> {
+        let file = OpenOptions::new().write(true).open(path)?;
+        let len = file.metadata()?.len();
+        Ok(DurableFile { file, len })
+    }
+
+    /// Appends `bytes` at the end and syncs them. On failure the file is
+    /// cut back to its previous length (best effort) and the next append
+    /// starts there again.
+    pub(crate) fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        match self.write_at(self.len, bytes) {
+            Ok(()) => {
+                self.len += bytes.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                let _ = self.file.set_len(self.len);
+                Err(e)
+            }
+        }
+    }
+
+    /// Overwrites bytes already in the file, starting at `offset`, and
+    /// syncs them. The file never grows here.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when the range reaches past the end; any I/O
+    /// failure from the write or the sync.
+    pub(crate) fn overwrite(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        if offset.saturating_add(bytes.len() as u64) > self.len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "overwrite reaches past the end of the file",
+            ));
+        }
+        self.write_at(offset, bytes)
+    }
+
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.write_all(bytes)?;
+        self.file.sync_data()
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +174,24 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec!["out.json".to_string()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn durable_file_appends_and_overwrites_in_place() {
+        let dir = scratch("durable");
+        let path = dir.join("journal");
+        assert!(DurableFile::open(&path).is_err(), "never creates the file");
+        write_atomic(&path, b"count=0\n").unwrap();
+        let mut file = DurableFile::open(&path).unwrap();
+        file.append(b"a\n").unwrap();
+        file.overwrite(6, b"1").unwrap();
+        file.append(b"b\n").unwrap();
+        file.overwrite(6, b"2").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"count=2\na\nb\n");
+        let past_end = file.overwrite(11, b"xy").unwrap_err();
+        assert_eq!(past_end.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(std::fs::read(&path).unwrap(), b"count=2\na\nb\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -73,12 +73,23 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Serializes on one line with no whitespace and no trailing newline.
+    /// Strings escape every control character, so the result never
+    /// contains a newline: one value per line is a sound record format.
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value at `indent` levels, or on one line when `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -108,12 +119,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -126,14 +135,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
+                    newline(out, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push('}');
             }
         }
@@ -155,9 +162,13 @@ impl Json {
     }
 }
 
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Starts a new line at `indent` levels; nothing in compact form.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -468,6 +479,22 @@ mod tests {
             ("c".into(), Json::Arr(vec![])),
         ]);
         assert_eq!(round_trip(&j), j);
+    }
+
+    #[test]
+    fn compact_form_is_one_line_and_round_trips() {
+        let j = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![Json::UInt(1), Json::Float(0.5)])),
+            ("b".into(), Json::Obj(vec![("e".into(), Json::Obj(vec![]))])),
+            ("s".into(), Json::Str("line\nbreak\r\u{1}".into())),
+        ]);
+        let text = j.to_compact();
+        assert_eq!(
+            text,
+            r#"{"a":[1,0.5],"b":{"e":{}},"s":"line\nbreak\r\u0001"}"#
+        );
+        assert!(!text.contains('\n'));
+        assert_eq!(Json::parse(&text).unwrap(), j);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * [`Json`] / [`Manifest`] — a dependency-free JSON value type (writer
 //!   *and* parser) and the schema-versioned run manifest every
 //!   `maps-bench` binary emits.
-//! * [`write_atomic`] / [`Checkpoint`] — crash-safe result publication
-//!   (temp file + rename) and the schema-versioned sweep checkpoint that
-//!   lets an interrupted figure run resume bit-identically.
+//! * [`write_atomic`] / [`Checkpoint`] / [`CheckpointJournal`] —
+//!   crash-safe result publication (temp file + rename) and the
+//!   schema-versioned, append-only sweep checkpoint that lets an
+//!   interrupted figure run resume bit-identically.
 //!
 //! Nothing in this crate feeds back into simulation state, so instrumented
 //! runs are bit-identical to bare runs by construction.
@@ -54,7 +55,9 @@ pub mod sink;
 pub mod timer;
 
 pub use atomic::write_atomic;
-pub use checkpoint::{fingerprint64, Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
+pub use checkpoint::{
+    fingerprint64, Checkpoint, CheckpointError, CheckpointJournal, CHECKPOINT_SCHEMA_VERSION,
+};
 pub use frame::{read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_BYTES};
 pub use json::{Json, JsonParseError};
 pub use manifest::{git_describe, validate_manifest, Manifest, MANIFEST_SCHEMA_VERSION};
