@@ -123,16 +123,25 @@ impl SimJob {
     }
 
     /// Canonical identity string: every field that can change the
-    /// simulated numbers, in a stable order. Farm fingerprints hash this
-    /// (together with the git revision).
+    /// simulated numbers, in a stable order, with the configuration in its
+    /// one lossless encoding. Farm fingerprints hash this (together with
+    /// the git revision). The key is presentation and stays out.
     pub fn identity(&self) -> String {
+        let SimJob {
+            key: _,
+            cfg,
+            bench,
+            seed,
+            accesses,
+            kind,
+        } = self;
         format!(
             "cfg={};bench={};seed={};accesses={};kind={}",
-            self.cfg.to_json().to_pretty(),
-            self.bench.name(),
-            self.seed,
-            self.accesses,
-            self.kind.tag()
+            crate::wire::config_to_json(cfg).to_compact(),
+            bench.name(),
+            seed,
+            accesses,
+            kind.tag()
         )
     }
 }

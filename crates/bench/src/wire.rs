@@ -1,24 +1,33 @@
-//! Faithful [`SimJob`] wire codec for the farm daemon's worker protocol.
+//! The one [`SimConfig`] encoding, and the [`SimJob`] wire codec built on
+//! it.
 //!
-//! [`SimConfig::to_json`] is a *manifest* encoding — deliberately lossy
-//! (policy by display name, DRAM latency only) because manifests describe
-//! runs to humans and diff tools. A daemon shipping jobs to worker
-//! processes needs the opposite guarantee: the worker must reconstruct
-//! the configuration *exactly*, or the supervision proof (farmd artifacts
-//! byte-identical to the standalone figure binaries') is dead on arrival. This module is that
-//! codec: every outcome-bearing field round-trips, floats travel as raw
-//! IEEE-754 bits (`f64::to_bits`, the `SimReport` discipline), and every
-//! malformed document decodes to a typed [`WireError`] — never a panic —
-//! because the daemon feeds this decoder bytes that crossed a socket.
+//! A configuration is encoded here and nowhere else. Run manifests embed
+//! the encoding ([`crate::RunContext::set_config`]), [`SimJob::identity`]
+//! hashes it into every point fingerprint, and the farm daemon ships it
+//! to worker processes inside [`job_to_json`]. Every outcome-bearing field
+//! is written, so two configurations that can simulate differently never
+//! share a fingerprint, and a worker reconstructs the configuration
+//! *exactly*. Floats travel as raw IEEE-754 bits (`f64::to_bits`, the
+//! `SimReport` discipline), and every malformed document decodes to a
+//! typed [`WireError`], never a panic, because the daemon feeds this
+//! decoder bytes that crossed a socket.
+//!
+//! Field coverage is checked by the compiler: each encoder destructures
+//! its struct without `..` and each decoder builds it with a literal that
+//! names every field, so a new field that no codec handles fails to build.
 //!
 //! The one deliberate hole: [`PolicyChoice::Min`]/[`PolicyChoice::TraceMin`]
-//! carry a recorded oracle trace that can run to millions of entries.
-//! Farm jobs never embed them — [`JobKind::Min`]/[`JobKind::IterMin`]
-//! jobs build their oracle *inside* [`crate::exec_job`] from the captured
-//! trace — so the codec rejects them at encode time with a typed error
-//! instead of shipping megabytes of oracle per frame.
+//! carry a recorded oracle trace that can run to millions of entries. The
+//! configuration encoding writes their name only. Farm jobs never carry
+//! them ([`JobKind::Min`]/[`JobKind::IterMin`] jobs build their oracle
+//! *inside* [`crate::exec_job`] from the captured trace), so
+//! [`job_to_json`] rejects them with a typed error instead of shipping a
+//! configuration the worker could not rebuild, and the decoder refuses
+//! their names.
 
+use maps_mem::DramModel;
 use maps_obs::Json;
+use maps_secure::CounterMode;
 use maps_sim::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
 use maps_workloads::Benchmark;
 
@@ -96,21 +105,23 @@ fn f64_bits(v: f64) -> Json {
     Json::UInt(v.to_bits())
 }
 
-fn policy_to_json(policy: &PolicyChoice) -> Result<Json, WireError> {
+/// A policy by name plus its parameter; MIN oracle traces are written by
+/// name only (see the module docs).
+fn policy_to_json(policy: &PolicyChoice) -> Json {
     let mut fields = vec![("name".to_string(), Json::Str(policy.name().into()))];
     match policy {
         PolicyChoice::Random(seed) => fields.push(("seed".into(), Json::UInt(*seed))),
         PolicyChoice::CostAware(cost) => fields.push(("cost".into(), Json::UInt(*cost))),
-        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_) => {
-            return Err(WireError::Unsupported(format!(
-                "policy '{}' embeds an oracle trace; MIN points ship as JobKind::Min and \
-                 rebuild the oracle worker-side",
-                policy.name()
-            )))
-        }
-        _ => {}
+        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_) => {}
+        PolicyChoice::PseudoLru
+        | PolicyChoice::TrueLru
+        | PolicyChoice::Fifo
+        | PolicyChoice::Srrip
+        | PolicyChoice::Eva
+        | PolicyChoice::Drrip
+        | PolicyChoice::EvaPerType => {}
     }
-    Ok(Json::Obj(fields))
+    Json::Obj(fields)
 }
 
 fn policy_from_json(doc: &Json) -> Result<PolicyChoice, WireError> {
@@ -217,13 +228,12 @@ fn partition_from_json(doc: &Json, ways: usize) -> Result<PartitionMode, WireErr
 }
 
 fn design_to_json(design: &MdcDesign) -> Json {
+    let mut fields = vec![("kind".to_string(), Json::Str(design.name().into()))];
     match design {
-        MdcDesign::SetAssoc => Json::Obj(vec![("kind".into(), Json::Str("set-assoc".into()))]),
-        MdcDesign::Randomized { seed } => Json::Obj(vec![
-            ("kind".into(), Json::Str("randomized".into())),
-            ("seed".into(), Json::UInt(*seed)),
-        ]),
+        MdcDesign::SetAssoc => {}
+        MdcDesign::Randomized { seed } => fields.push(("seed".into(), Json::UInt(*seed))),
     }
+    Json::Obj(fields)
 }
 
 fn design_from_json(doc: &Json) -> Result<MdcDesign, WireError> {
@@ -241,57 +251,98 @@ fn design_from_json(doc: &Json) -> Result<MdcDesign, WireError> {
     })
 }
 
-/// Encodes a configuration losslessly (unlike the manifest encoding).
-fn config_to_json(cfg: &SimConfig) -> Result<Json, WireError> {
+fn mdc_to_json(mdc: &MdcConfig) -> Json {
+    let MdcConfig {
+        size_bytes,
+        ways,
+        contents,
+        policy,
+        partition,
+        partial_writes,
+        design,
+    } = mdc;
+    let CacheContents {
+        counters,
+        hashes,
+        tree,
+    } = contents;
     let contents = Json::Obj(vec![
-        ("counters".into(), Json::Bool(cfg.mdc.contents.counters)),
-        ("hashes".into(), Json::Bool(cfg.mdc.contents.hashes)),
-        ("tree".into(), Json::Bool(cfg.mdc.contents.tree)),
+        ("counters".into(), Json::Bool(*counters)),
+        ("hashes".into(), Json::Bool(*hashes)),
+        ("tree".into(), Json::Bool(*tree)),
     ]);
-    let mdc = Json::Obj(vec![
-        ("size_bytes".into(), Json::UInt(cfg.mdc.size_bytes)),
-        ("ways".into(), Json::UInt(cfg.mdc.ways as u64)),
+    Json::Obj(vec![
+        ("size_bytes".into(), Json::UInt(*size_bytes)),
+        ("ways".into(), Json::UInt(*ways as u64)),
         ("contents".into(), contents),
-        ("policy".into(), policy_to_json(&cfg.mdc.policy)?),
-        ("partition".into(), partition_to_json(&cfg.mdc.partition)),
-        ("partial_writes".into(), Json::Bool(cfg.mdc.partial_writes)),
-        ("design".into(), design_to_json(&cfg.mdc.design)),
-    ]);
-    let counter_mode = match cfg.counter_mode {
-        maps_secure::CounterMode::SplitPi => "split-pi",
-        maps_secure::CounterMode::SgxMonolithic => "sgx-monolithic",
-    };
-    let dram = Json::Obj(vec![
-        ("latency_cycles".into(), Json::UInt(cfg.dram.latency_cycles)),
+        ("policy".into(), policy_to_json(policy)),
+        ("partition".into(), partition_to_json(partition)),
+        ("partial_writes".into(), Json::Bool(*partial_writes)),
+        ("design".into(), design_to_json(design)),
+    ])
+}
+
+fn dram_to_json(dram: &DramModel) -> Json {
+    let DramModel {
+        latency_cycles,
+        energy_per_bit_pj,
+        background_pj_per_cycle,
+    } = dram;
+    Json::Obj(vec![
+        ("latency_cycles".into(), Json::UInt(*latency_cycles)),
         (
             "energy_per_bit_pj_bits".into(),
-            f64_bits(cfg.dram.energy_per_bit_pj),
+            f64_bits(*energy_per_bit_pj),
         ),
         (
             "background_pj_per_cycle_bits".into(),
-            f64_bits(cfg.dram.background_pj_per_cycle),
+            f64_bits(*background_pj_per_cycle),
         ),
-    ]);
-    Ok(Json::Obj(vec![
-        ("l1_bytes".into(), Json::UInt(cfg.l1_bytes)),
-        ("l1_ways".into(), Json::UInt(cfg.l1_ways as u64)),
-        ("l2_bytes".into(), Json::UInt(cfg.l2_bytes)),
-        ("l2_ways".into(), Json::UInt(cfg.l2_ways as u64)),
-        ("llc_bytes".into(), Json::UInt(cfg.llc_bytes)),
-        ("llc_ways".into(), Json::UInt(cfg.llc_ways as u64)),
-        ("memory_bytes".into(), Json::UInt(cfg.memory_bytes)),
+    ])
+}
+
+/// Encodes a configuration: the manifest `config` block, the text every
+/// point fingerprint hashes, and the `cfg` of a worker job. Lossless but
+/// for MIN oracle traces, which are written by name only.
+pub(crate) fn config_to_json(cfg: &SimConfig) -> Json {
+    let SimConfig {
+        l1_bytes,
+        l1_ways,
+        l2_bytes,
+        l2_ways,
+        llc_bytes,
+        llc_ways,
+        memory_bytes,
+        counter_mode,
+        mdc,
+        dram,
+        hash_latency,
+        speculation,
+        speculation_window,
+        secure,
+        warmup_fraction,
+    } = cfg;
+    let counter_mode = match counter_mode {
+        CounterMode::SplitPi => "split-pi",
+        CounterMode::SgxMonolithic => "sgx-monolithic",
+    };
+    Json::Obj(vec![
+        ("l1_bytes".into(), Json::UInt(*l1_bytes)),
+        ("l1_ways".into(), Json::UInt(*l1_ways as u64)),
+        ("l2_bytes".into(), Json::UInt(*l2_bytes)),
+        ("l2_ways".into(), Json::UInt(*l2_ways as u64)),
+        ("llc_bytes".into(), Json::UInt(*llc_bytes)),
+        ("llc_ways".into(), Json::UInt(*llc_ways as u64)),
+        ("memory_bytes".into(), Json::UInt(*memory_bytes)),
         ("counter_mode".into(), Json::Str(counter_mode.into())),
-        ("mdc".into(), mdc),
-        ("dram".into(), dram),
-        ("hash_latency".into(), Json::UInt(cfg.hash_latency)),
-        ("speculation".into(), Json::Bool(cfg.speculation)),
-        (
-            "speculation_window".into(),
-            Json::UInt(cfg.speculation_window),
-        ),
-        ("secure".into(), Json::Bool(cfg.secure)),
-        ("warmup_fraction_bits".into(), f64_bits(cfg.warmup_fraction)),
-    ]))
+        ("mdc".into(), mdc_to_json(mdc)),
+        ("dram".into(), dram_to_json(dram)),
+        ("hash_latency".into(), Json::UInt(*hash_latency)),
+        ("speculation".into(), Json::Bool(*speculation)),
+        ("speculation_window".into(), Json::UInt(*speculation_window)),
+        ("secure".into(), Json::Bool(*secure)),
+        ("warmup_fraction_bits".into(), f64_bits(*warmup_fraction)),
+    ])
 }
 
 fn config_from_json(doc: &Json) -> Result<SimConfig, WireError> {
@@ -313,8 +364,8 @@ fn config_from_json(doc: &Json) -> Result<SimConfig, WireError> {
         design: design_from_json(get(mdc_doc, "design")?)?,
     };
     let counter_mode = match get_str(doc, "counter_mode")? {
-        "split-pi" => maps_secure::CounterMode::SplitPi,
-        "sgx-monolithic" => maps_secure::CounterMode::SgxMonolithic,
+        "split-pi" => CounterMode::SplitPi,
+        "sgx-monolithic" => CounterMode::SgxMonolithic,
         other => {
             return Err(WireError::Invalid {
                 field: "cfg.counter_mode",
@@ -323,7 +374,7 @@ fn config_from_json(doc: &Json) -> Result<SimConfig, WireError> {
         }
     };
     let dram_doc = get(doc, "dram")?;
-    let dram = maps_mem::DramModel {
+    let dram = DramModel {
         latency_cycles: get_u64(dram_doc, "latency_cycles")?,
         energy_per_bit_pj: get_f64_bits(dram_doc, "energy_per_bit_pj_bits")?,
         background_pj_per_cycle: get_f64_bits(dram_doc, "background_pj_per_cycle_bits")?,
@@ -389,13 +440,31 @@ fn kind_from_json(doc: &Json) -> Result<JobKind, WireError> {
 ///
 /// [`WireError::Unsupported`] for oracle-bearing policies.
 pub fn job_to_json(job: &SimJob) -> Result<Json, WireError> {
+    let SimJob {
+        key,
+        cfg,
+        bench,
+        seed,
+        accesses,
+        kind,
+    } = job;
+    if matches!(
+        cfg.mdc.policy,
+        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_)
+    ) {
+        return Err(WireError::Unsupported(format!(
+            "policy '{}' embeds an oracle trace; MIN points ship as JobKind::Min and \
+             rebuild the oracle worker-side",
+            cfg.mdc.policy.name()
+        )));
+    }
     Ok(Json::Obj(vec![
-        ("key".into(), Json::Str(job.key.clone())),
-        ("bench".into(), Json::Str(job.bench.name().into())),
-        ("seed".into(), Json::UInt(job.seed)),
-        ("accesses".into(), Json::UInt(job.accesses)),
-        ("kind".into(), kind_to_json(&job.kind)),
-        ("cfg".into(), config_to_json(&job.cfg)?),
+        ("key".into(), Json::Str(key.clone())),
+        ("bench".into(), Json::Str(bench.name().into())),
+        ("seed".into(), Json::UInt(*seed)),
+        ("accesses".into(), Json::UInt(*accesses)),
+        ("kind".into(), kind_to_json(kind)),
+        ("cfg".into(), config_to_json(cfg)),
     ]))
 }
 
@@ -452,26 +521,79 @@ mod tests {
         job_from_json(&Json::parse(&text).expect("parses")).expect("decodable")
     }
 
+    /// Cost-aware eviction under a per-tenant split.
+    fn tenant_config() -> SimConfig {
+        let mut cfg = SimConfig::paper_default();
+        cfg.mdc = cfg
+            .mdc
+            .with_policy(PolicyChoice::CostAware(64))
+            .with_partition(PartitionMode::PerTenant { tenants: 3 });
+        cfg
+    }
+
     #[test]
     fn exotic_job_round_trips_exactly() {
+        for cfg in [exotic_config(), tenant_config()] {
+            let job = SimJob {
+                key: "llc=2097152/mdc=65536".into(),
+                cfg,
+                bench: Benchmark::Mcf,
+                seed: crate::SEED ^ 3,
+                accesses: 123_456,
+                kind: JobKind::Occupancy { victim_pages: 640 },
+            };
+            let back = round_trip(&job);
+            assert_eq!(back.key, job.key);
+            assert_eq!(back.cfg, job.cfg);
+            assert_eq!(back.bench, job.bench);
+            assert_eq!(back.seed, job.seed);
+            assert_eq!(back.accesses, job.accesses);
+            assert_eq!(back.kind.tag(), job.kind.tag());
+            // Same identity string ⇒ same point fingerprint ⇒ same
+            // checkpoint slot on both sides of the wire.
+            assert_eq!(back.identity(), job.identity());
+        }
+    }
+
+    #[test]
+    fn job_encoding_is_pinned_byte_for_byte() {
+        let mut cfg = tenant_config();
+        cfg.dram.energy_per_bit_pj = 300.0;
         let job = SimJob {
-            key: "llc=2097152/mdc=65536".into(),
-            cfg: exotic_config(),
+            key: "golden".into(),
+            cfg,
             bench: Benchmark::Mcf,
-            seed: crate::SEED ^ 3,
-            accesses: 123_456,
-            kind: JobKind::Occupancy { victim_pages: 640 },
+            seed: 7,
+            accesses: 20_000,
+            kind: JobKind::IterMin { iterations: 3 },
         };
-        let back = round_trip(&job);
-        assert_eq!(back.key, job.key);
-        assert_eq!(back.cfg, job.cfg);
-        assert_eq!(back.bench, job.bench);
-        assert_eq!(back.seed, job.seed);
-        assert_eq!(back.accesses, job.accesses);
-        assert_eq!(back.kind.tag(), job.kind.tag());
-        // Same identity string ⇒ same point fingerprint ⇒ same checkpoint
-        // slot on both sides of the wire.
-        assert_eq!(back.identity(), job.identity());
+        // Worker frames carry these bytes: key names and order are part
+        // of the wire format.
+        const CFG: &str = concat!(
+            r#"{"l1_bytes":32768,"l1_ways":8,"l2_bytes":262144,"l2_ways":8,"#,
+            r#""llc_bytes":2097152,"llc_ways":8,"memory_bytes":4294967296,"#,
+            r#""counter_mode":"split-pi","mdc":{"size_bytes":65536,"ways":8,"#,
+            r#""contents":{"counters":true,"hashes":true,"tree":true},"#,
+            r#""policy":{"name":"cost-aware","cost":64},"#,
+            r#""partition":{"mode":"per-tenant","tenants":3},"partial_writes":false,"#,
+            r#""design":{"kind":"set-assoc"}},"dram":{"latency_cycles":200,"#,
+            r#""energy_per_bit_pj_bits":4643985272004935680,"#,
+            r#""background_pj_per_cycle_bits":4632233691727265792},"hash_latency":40,"#,
+            r#""speculation":true,"speculation_window":18446744073709551615,"#,
+            r#""secure":true,"warmup_fraction_bits":4591870180066957722}"#,
+        );
+        assert_eq!(
+            job_to_json(&job).expect("encodable").to_compact(),
+            format!(
+                r#"{{"key":"golden","bench":"mcf","seed":7,"accesses":20000,"kind":{{"tag":"iter-min","iterations":3}},"cfg":{CFG}}}"#
+            )
+        );
+        // Manifests embed, and point fingerprints hash, the same text.
+        assert_eq!(config_to_json(&job.cfg).to_compact(), CFG);
+        assert_eq!(
+            job.identity(),
+            format!("cfg={CFG};bench=mcf;seed=7;accesses=20000;kind=itermin3")
+        );
     }
 
     #[test]
@@ -538,6 +660,26 @@ mod tests {
         assert!(matches!(
             job_from_json(&doc),
             Err(WireError::Invalid { field: "bench", .. })
+        ));
+
+        // A MIN policy: the configuration encoding names it but drops its
+        // trace, so it must not decode.
+        let mut min = SimConfig::paper_default();
+        min.mdc = min.mdc.with_policy(PolicyChoice::Min(vec![1, 2, 3]));
+        let mut doc = good.clone();
+        if let Json::Obj(fields) = &mut doc {
+            for (k, v) in fields.iter_mut() {
+                if k == "cfg" {
+                    *v = config_to_json(&min);
+                }
+            }
+        }
+        assert!(matches!(
+            job_from_json(&doc),
+            Err(WireError::Invalid {
+                field: "cfg.mdc.policy.name",
+                ..
+            })
         ));
     }
 

@@ -109,82 +109,106 @@ impl CampaignPlan {
 
     /// Assembles the campaign document.
     pub fn to_json(&self) -> Json {
-        let figures = self
-            .figures
-            .iter()
-            .map(|f| {
-                let phases = f
-                    .phases
-                    .iter()
-                    .map(|(phase, points)| {
-                        Json::Obj(vec![
-                            ("phase".to_string(), Json::Str(phase.clone())),
-                            ("points".to_string(), Json::UInt(*points as u64)),
-                        ])
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(f.name.clone())),
-                    ("dynamic".to_string(), Json::Bool(f.dynamic)),
-                    ("accesses".to_string(), Json::UInt(f.accesses)),
-                    ("phases".to_string(), Json::Arr(phases)),
-                ])
-            })
-            .collect();
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    (
-                        "fingerprint".to_string(),
-                        Json::Str(format!("{:016x}", p.fingerprint)),
-                    ),
-                    ("figure".to_string(), Json::Str(p.figure.clone())),
-                    ("phase".to_string(), Json::Str(p.phase.clone())),
-                    ("key".to_string(), Json::Str(p.job.key.clone())),
-                    (
-                        "bench".to_string(),
-                        Json::Str(p.job.bench.name().to_string()),
-                    ),
-                    ("seed".to_string(), Json::UInt(p.job.seed)),
-                    ("accesses".to_string(), Json::UInt(p.job.accesses)),
-                    ("kind".to_string(), Json::Str(p.job.kind.tag())),
-                ])
-            })
-            .collect();
+        let CampaignPlan {
+            name,
+            git,
+            figures,
+            points,
+            total_jobs,
+            capture_keys,
+        } = self;
         Json::Obj(vec![
             (
                 "schema_version".to_string(),
                 Json::UInt(CAMPAIGN_SCHEMA_VERSION),
             ),
             ("kind".to_string(), Json::Str(CAMPAIGN_KIND.to_string())),
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("git".to_string(), Json::Str(self.git.clone())),
+            ("name".to_string(), Json::Str(name.clone())),
+            ("git".to_string(), Json::Str(git.clone())),
             (
                 "identity_fingerprint".to_string(),
                 Json::UInt(self.identity_fingerprint()),
             ),
-            ("figures".to_string(), Json::Arr(figures)),
-            ("points".to_string(), Json::Arr(points)),
+            (
+                "figures".to_string(),
+                Json::Arr(figures.iter().map(PlannedFigure::to_json).collect()),
+            ),
+            (
+                "points".to_string(),
+                Json::Arr(points.iter().map(PlannedPoint::to_json).collect()),
+            ),
             (
                 "stats".to_string(),
                 Json::Obj(vec![
-                    ("total_jobs".to_string(), Json::UInt(self.total_jobs as u64)),
-                    (
-                        "unique_points".to_string(),
-                        Json::UInt(self.points.len() as u64),
-                    ),
+                    ("total_jobs".to_string(), Json::UInt(*total_jobs as u64)),
+                    ("unique_points".to_string(), Json::UInt(points.len() as u64)),
                     (
                         "deduplicated".to_string(),
                         Json::UInt(self.deduplicated() as u64),
                     ),
-                    (
-                        "capture_keys".to_string(),
-                        Json::UInt(self.capture_keys as u64),
-                    ),
+                    ("capture_keys".to_string(), Json::UInt(*capture_keys as u64)),
                 ]),
             ),
+        ])
+    }
+}
+
+impl PlannedFigure {
+    fn to_json(&self) -> Json {
+        let PlannedFigure {
+            name,
+            dynamic,
+            accesses,
+            phases,
+        } = self;
+        let phases = phases
+            .iter()
+            .map(|(phase, points)| {
+                Json::Obj(vec![
+                    ("phase".to_string(), Json::Str(phase.clone())),
+                    ("points".to_string(), Json::UInt(*points as u64)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("name".to_string(), Json::Str(name.clone())),
+            ("dynamic".to_string(), Json::Bool(*dynamic)),
+            ("accesses".to_string(), Json::UInt(*accesses)),
+            ("phases".to_string(), Json::Arr(phases)),
+        ])
+    }
+}
+
+impl PlannedPoint {
+    /// The point's identity fields; its configuration stays out of the
+    /// document (the fingerprint covers it).
+    fn to_json(&self) -> Json {
+        let PlannedPoint {
+            fingerprint,
+            figure,
+            phase,
+            job,
+        } = self;
+        let SimJob {
+            key,
+            cfg: _,
+            bench,
+            seed,
+            accesses,
+            kind,
+        } = job;
+        Json::Obj(vec![
+            (
+                "fingerprint".to_string(),
+                Json::Str(format!("{fingerprint:016x}")),
+            ),
+            ("figure".to_string(), Json::Str(figure.clone())),
+            ("phase".to_string(), Json::Str(phase.clone())),
+            ("key".to_string(), Json::Str(key.clone())),
+            ("bench".to_string(), Json::Str(bench.name().to_string())),
+            ("seed".to_string(), Json::UInt(*seed)),
+            ("accesses".to_string(), Json::UInt(*accesses)),
+            ("kind".to_string(), Json::Str(kind.tag())),
         ])
     }
 }

@@ -3,7 +3,9 @@
 //! A `maps-farmd` campaign appends this block to `campaign.json` when it
 //! settles, and `maps-farm status` renders it. The block is advisory —
 //! absent for in-process (`maps-farm run`) campaigns and ignored when
-//! malformed — but its field set is drift-guarded by SCHEMA-001.
+//! malformed. The encoder destructures the struct and the decoder builds
+//! it with a full literal, so a counter added without a key fails to
+//! build.
 
 use maps_obs::Json;
 
@@ -25,17 +27,24 @@ pub struct Supervision {
 impl Supervision {
     /// Encodes the counter block.
     pub fn to_json(&self) -> Json {
+        let Supervision {
+            respawns,
+            retries,
+            quarantined,
+            heartbeat_misses,
+            client_reconnects,
+        } = self;
         Json::Obj(vec![
-            ("respawns".to_string(), Json::UInt(self.respawns)),
-            ("retries".to_string(), Json::UInt(self.retries)),
-            ("quarantined".to_string(), Json::UInt(self.quarantined)),
+            ("respawns".to_string(), Json::UInt(*respawns)),
+            ("retries".to_string(), Json::UInt(*retries)),
+            ("quarantined".to_string(), Json::UInt(*quarantined)),
             (
                 "heartbeat_misses".to_string(),
-                Json::UInt(self.heartbeat_misses),
+                Json::UInt(*heartbeat_misses),
             ),
             (
                 "client_reconnects".to_string(),
-                Json::UInt(self.client_reconnects),
+                Json::UInt(*client_reconnects),
             ),
         ])
     }
@@ -67,6 +76,12 @@ mod tests {
             client_reconnects: 4,
         };
         assert_eq!(Supervision::from_json(&sup.to_json()), Some(sup));
+        // The campaign.json block byte for byte: key names and order are
+        // part of the document format.
+        assert_eq!(
+            sup.to_json().to_compact(),
+            r#"{"respawns":3,"retries":7,"quarantined":1,"heartbeat_misses":2,"client_reconnects":4}"#
+        );
         assert_eq!(Supervision::from_json(&Json::Null), None);
         let Json::Obj(mut fields) = sup.to_json() else {
             panic!("supervision encodes as an object");

@@ -5,7 +5,7 @@
 //! shipping a bare ID in CI logs.
 
 /// Every rule ID the linter can emit, in catalogue order.
-pub const RULE_IDS: [&str; 11] = [
+pub const RULE_IDS: [&str; 10] = [
     "DET-001",
     "DET-002",
     "DET-003",
@@ -15,7 +15,6 @@ pub const RULE_IDS: [&str; 11] = [
     "PANIC-002",
     "ALLOC-001",
     "IO-001",
-    "SCHEMA-001",
     "ALLOW-001",
 ];
 
@@ -148,24 +147,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              example (flagged, in crates/farm):\n\
                  std::fs::write(path, tsv)?;\n\
              fix: use maps_obs::atomic's helpers.\n"
-        }
-        "SCHEMA-001" => {
-            "SCHEMA-001: watched struct fields must appear in their codec's\n\
-             key sets.\n\
-             \n\
-             Reports, manifests, and checkpoints are hand-written JSON codecs;\n\
-             adding a struct field without touching to_json/from_json ships a\n\
-             field that silently never round-trips (the `tenants:` failure\n\
-             mode). The rule cross-checks each watched struct's field list\n\
-             against the string keys in its codec file's *to_json* fns\n\
-             (encode) and *from_json*/*validate* fns plus *FIELDS* consts\n\
-             (decode). Encode-only structs skip the decode check.\n\
-             \n\
-             example (flagged):\n\
-                 struct SimReport { …, tenants: Vec<TenantMdcStats> }\n\
-                 // to_json() never writes a \"tenants\" key\n\
-             fix: emit and parse the field, or rename the key to share the\n\
-             field's prefix (wall → wall_seconds).\n"
         }
         "ALLOW-001" => {
             "ALLOW-001: allowlist entries must still absorb something.\n\

@@ -5,7 +5,6 @@
 //! | PANIC-002  | No panic site reachable from the hot-path roots                  |
 //! | ALLOC-001  | No heap allocation reachable from the batch kernel               |
 //! | DET-003    | No ambient time/randomness laundered through exempt-crate helpers|
-//! | SCHEMA-001 | Codec key sets cover every watched struct field (no drift)       |
 //!
 //! The graph is a deliberate *over-approximation* (see DESIGN.md §15):
 //! `.method(…)` calls resolve to every workspace method of that name
@@ -68,68 +67,14 @@ const DET3_CRATES: [&str; 7] = [
     "workloads",
 ];
 
-/// `(struct, defining file, codec file)` triples checked by SCHEMA-001.
-/// The codec file's `*to_json*` fns form the encode key set; its
-/// `*from_json*`/`*validate*` fns plus `*FIELDS*` consts form the decode
-/// key set. A field `f` is covered by a key `k` when `k == f` or `k`
-/// starts with `f_` (so `wall` ↔ `wall_seconds` and the bit-exact
-/// `*_bits` float keys match their fields).
-const WATCHED_CODECS: [(&str, &str, &str); 8] = [
-    (
-        "SimReport",
-        "crates/sim/src/report.rs",
-        "crates/sim/src/report.rs",
-    ),
-    (
-        "TenantMdcStats",
-        "crates/sim/src/report.rs",
-        "crates/sim/src/report.rs",
-    ),
-    (
-        "EngineStats",
-        "crates/sim/src/engine.rs",
-        "crates/sim/src/report.rs",
-    ),
-    (
-        "HierarchyStats",
-        "crates/sim/src/hierarchy.rs",
-        "crates/sim/src/report.rs",
-    ),
-    (
-        "Manifest",
-        "crates/obs/src/manifest.rs",
-        "crates/obs/src/manifest.rs",
-    ),
-    (
-        "Checkpoint",
-        "crates/obs/src/checkpoint.rs",
-        "crates/obs/src/checkpoint.rs",
-    ),
-    (
-        "CampaignPlan",
-        "crates/farm/src/campaign.rs",
-        "crates/farm/src/campaign.rs",
-    ),
-    (
-        "Supervision",
-        "crates/farm/src/supervision.rs",
-        "crates/farm/src/supervision.rs",
-    ),
-];
-
 /// The workspace-level model: all shipped (non-test, `src/`) functions
-/// with resolved call edges, plus the struct/const tables for SCHEMA-001.
+/// with resolved call edges.
 pub struct Workspace {
     fns: Vec<FnItem>,
     /// Forward edges, per fn, sorted+deduped by callee: `(callee, line)`.
     edges: Vec<Vec<(usize, u32)>>,
     /// Reverse edges, for taint propagation.
     redges: Vec<Vec<usize>>,
-    structs: Vec<crate::items::StructItem>,
-    consts: Vec<crate::items::ConstItem>,
-    /// Paths of every scanned file (watched-codec checks only apply when
-    /// the file is actually part of the linted tree).
-    files: std::collections::BTreeSet<String>,
 }
 
 impl Workspace {
@@ -137,14 +82,10 @@ impl Workspace {
     /// part: `crates/*/src/**` and the root `src/**`, minus test regions.
     pub fn build(models: Vec<FileModel>) -> Self {
         let mut fns = Vec::new();
-        let mut structs = Vec::new();
-        let mut consts = Vec::new();
         let mut aliases_by_file: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
         let mut mentioned_by_file: BTreeMap<String, std::collections::BTreeSet<String>> =
             BTreeMap::new();
-        let mut files = std::collections::BTreeSet::new();
         for m in models {
-            files.insert(m.path.clone());
             mentioned_by_file.insert(m.path.clone(), m.mentioned);
             let file_aliases = aliases_by_file.entry(m.path).or_default();
             for (alias, orig) in m.aliases {
@@ -155,16 +96,11 @@ impl Workspace {
                     fns.push(f);
                 }
             }
-            structs.extend(m.structs.into_iter().filter(|s| !s.in_test));
-            consts.extend(m.consts);
         }
         let mut ws = Workspace {
             edges: vec![Vec::new(); fns.len()],
             redges: vec![Vec::new(); fns.len()],
             fns,
-            structs,
-            consts,
-            files,
         };
         ws.resolve(&aliases_by_file, &mentioned_by_file);
         ws
@@ -326,7 +262,6 @@ pub(crate) fn graph_rules(ws: &Workspace) -> Vec<RawDiag> {
     panic_002(ws, &mut out);
     alloc_001(ws, &mut out);
     det_003(ws, &mut out);
-    schema_001(ws, &mut out);
     out
 }
 
@@ -471,120 +406,5 @@ fn det_003(ws: &Workspace, out: &mut Vec<RawDiag>) {
                 },
             });
         }
-    }
-}
-
-/// SCHEMA-001: watched struct fields vs hand-written codec key sets.
-fn schema_001(ws: &Workspace, out: &mut Vec<RawDiag>) {
-    for (name, struct_file, codec_file) in WATCHED_CODECS {
-        // A workspace that does not contain the watched file at all (unit
-        // fixtures, the graph mini-workspace) is out of scope; a scanned
-        // file that lost its struct is schema drift.
-        if !ws.files.contains(struct_file) {
-            continue;
-        }
-        let Some(st) = ws
-            .structs
-            .iter()
-            .find(|s| s.name == name && s.file == struct_file)
-        else {
-            out.push(RawDiag {
-                absorbable: true,
-                diag: Diagnostic {
-                    rule: "SCHEMA-001",
-                    file: struct_file.to_string(),
-                    line: 1,
-                    message: format!(
-                        "watched struct `{name}` not found in {struct_file}: update the \
-                         SCHEMA-001 watch list in crates/lint/src/graph.rs"
-                    ),
-                    chain: Vec::new(),
-                },
-            });
-            continue;
-        };
-        let mut encode: Vec<&str> = Vec::new();
-        let mut decode: Vec<&str> = Vec::new();
-        for f in ws.fns.iter().filter(|f| f.file == codec_file) {
-            if f.name.contains("to_json") {
-                encode.extend(f.strs.iter().map(String::as_str));
-            }
-            if f.name.contains("from_json") || f.name.contains("validate") {
-                decode.extend(f.strs.iter().map(String::as_str));
-            }
-        }
-        for c in ws.consts.iter().filter(|c| c.file == codec_file) {
-            if c.name.contains("FIELDS") {
-                decode.extend(c.strs.iter().map(String::as_str));
-            }
-        }
-        if encode.is_empty() {
-            out.push(RawDiag {
-                absorbable: true,
-                diag: Diagnostic {
-                    rule: "SCHEMA-001",
-                    file: codec_file.to_string(),
-                    line: 1,
-                    message: format!(
-                        "no `*to_json*` encoder found in {codec_file} for watched struct \
-                         `{name}`"
-                    ),
-                    chain: Vec::new(),
-                },
-            });
-            continue;
-        }
-        let covers = |keys: &[&str], field: &str| {
-            keys.iter().any(|k| {
-                *k == field
-                    || (k.starts_with(field) && k.as_bytes().get(field.len()) == Some(&b'_'))
-            })
-        };
-        for (field, line) in &st.fields {
-            if !covers(&encode, field) {
-                out.push(field_diag(
-                    name,
-                    struct_file,
-                    *line,
-                    field,
-                    codec_file,
-                    "encode",
-                ));
-            }
-            if !decode.is_empty() && !covers(&decode, field) {
-                out.push(field_diag(
-                    name,
-                    struct_file,
-                    *line,
-                    field,
-                    codec_file,
-                    "decode",
-                ));
-            }
-        }
-    }
-}
-
-fn field_diag(
-    name: &str,
-    struct_file: &str,
-    line: u32,
-    field: &str,
-    codec_file: &str,
-    side: &str,
-) -> RawDiag {
-    RawDiag {
-        absorbable: true,
-        diag: Diagnostic {
-            rule: "SCHEMA-001",
-            file: struct_file.to_string(),
-            line,
-            message: format!(
-                "field `{field}` of `{name}` is missing from the {side} key set in \
-                 {codec_file}: a field that ships {side}-only silently drifts the \
-                 checkpoint/report schema (the `tenants:` failure mode)"
-            ),
-            chain: Vec::new(),
-        },
     }
 }

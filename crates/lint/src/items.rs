@@ -4,17 +4,18 @@
 //! and the workspace call graph ([`crate::graph`]): still dependency-free
 //! (no `syn`), it recovers just enough structure for reachability rules —
 //! functions with their owners (inherent impl, trait impl, or trait
-//! default), per-body call sites and panic/alloc/clock sinks, `use … as …`
-//! renames, struct field lists, and string-literal tables. It is a
-//! *heuristic* model: see DESIGN.md §15 for the documented over- and
-//! under-approximations.
+//! default), per-body call sites and panic/alloc/clock sinks, and
+//! `use … as …` renames. It is a *heuristic* model: see DESIGN.md §15 for
+//! the documented over- and under-approximations.
 //!
 //! Parsing strategy: one linear pass with explicit brace matching. Items
-//! (`use`, `struct`, `const`/`static`, `impl`, `trait`, `mod`, `fn`) are
-//! recognised by their leading keyword at block level; `impl`/`trait`/`mod`
-//! bodies recurse with the owner context updated; `fn` bodies are scanned
-//! flat for calls, sinks, and strings (nested `fn`s and closures are
-//! attributed to the enclosing item — conservative for reachability).
+//! (`use`, `impl`, `trait`, `mod`, `fn`) are recognised by their leading
+//! keyword at block level; `impl`/`trait`/`mod` bodies recurse with the
+//! owner context updated; `fn` bodies are scanned flat for calls and sinks
+//! (nested `fn`s and closures are attributed to the enclosing item —
+//! conservative for reachability). `struct`/`enum`/`union` bodies and
+//! `const`/`static` initializers are stepped over so their contents are
+//! not misread as items.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -89,8 +90,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
     /// Panic/alloc/clock sinks in body order.
     pub sinks: Vec<Sink>,
-    /// String-literal contents in body order (codec key names).
-    pub strs: Vec<String>,
 }
 
 impl FnItem {
@@ -103,32 +102,6 @@ impl FnItem {
     }
 }
 
-/// One struct with named fields (tuple structs are skipped — their codecs
-/// are positional and out of SCHEMA-001's scope).
-#[derive(Debug)]
-pub struct StructItem {
-    /// Repo-relative file path.
-    pub file: String,
-    /// Struct name.
-    pub name: String,
-    /// `(field name, line)` pairs in declaration order.
-    pub fields: Vec<(String, u32)>,
-    /// Whether the struct sits inside a test region.
-    pub in_test: bool,
-}
-
-/// A `const`/`static` item with its string-literal contents (decode-side
-/// field tables like `REQUIRED_FIELDS` live in consts, not fn bodies).
-#[derive(Debug)]
-pub struct ConstItem {
-    /// Repo-relative file path.
-    pub file: String,
-    /// Const name.
-    pub name: String,
-    /// String-literal contents in the initializer.
-    pub strs: Vec<String>,
-}
-
 /// Everything the item pass recovers from one file.
 #[derive(Debug, Default)]
 pub struct FileModel {
@@ -136,10 +109,6 @@ pub struct FileModel {
     pub path: String,
     /// Functions in source order.
     pub fns: Vec<FnItem>,
-    /// Structs with named fields.
-    pub structs: Vec<StructItem>,
-    /// Consts/statics with their string tables.
-    pub consts: Vec<ConstItem>,
     /// `use … as alias` renames: `(alias, original last segment)`.
     pub aliases: Vec<(String, String)>,
     /// Every capitalised identifier outside test regions — the type and
@@ -251,17 +220,16 @@ impl Parser<'_> {
         while i < end {
             match self.ident(i) {
                 Some("use") => i = self.use_item(i, end),
-                Some("struct") => i = self.struct_item(i, end),
                 Some("const") | Some("static") if !self.is_ident(i + 1, "fn") => {
-                    i = self.const_item(i, end)
+                    i = self.skip_const(i, end)
                 }
                 Some("impl") => i = self.impl_item(i, end),
                 Some("trait") => i = self.trait_item(i, end),
                 Some("mod") => i = self.mod_item(i, end, owner, trait_of),
                 Some("fn") => i = self.fn_item(i, end, owner, trait_of),
-                Some("enum") | Some("union") => {
-                    // Skip the body so variant payload types are not
-                    // misread as items.
+                Some("struct") | Some("enum") | Some("union") => {
+                    // Skip the body so field and variant payload types are
+                    // not misread as items.
                     let mut j = i + 1;
                     while j < end && !self.is_punct(j, '{') && !self.is_punct(j, ';') {
                         j += 1;
@@ -297,88 +265,10 @@ impl Parser<'_> {
         j + 1
     }
 
-    /// `struct Name<…> { a: T, b: U }` — records named fields; tuple and
-    /// unit structs are skipped.
-    fn struct_item(&mut self, i: usize, end: usize) -> usize {
-        let Some(name) = self.ident(i + 1) else {
-            return i + 1;
-        };
-        let name = name.to_string();
-        let mut j = i + 2;
-        // To the body `{`, tolerating generics and where clauses; a `;` or
-        // `(` first means unit/tuple struct.
-        while j < end && !self.is_punct(j, '{') {
-            if self.is_punct(j, ';') || self.is_punct(j, '(') {
-                return j + 1;
-            }
-            j += 1;
-        }
-        if j >= end {
-            return j;
-        }
-        let body_end = self.match_brace(j);
-        let mut fields = Vec::new();
-        let mut k = j + 1;
-        let mut depth = 0i64; // nested braces/angles inside field types
-        let mut angle = 0i64;
-        let mut at_field_start = true;
-        while k < body_end.saturating_sub(1) {
-            if self.is_punct(k, '{') {
-                depth += 1;
-            } else if self.is_punct(k, '}') {
-                depth -= 1;
-            } else if self.is_punct(k, '<') {
-                angle += 1;
-            } else if self.is_punct(k, '>') && !self.is_punct(k.wrapping_sub(1), '-') {
-                angle = (angle - 1).max(0);
-            } else if depth == 0 && angle == 0 && self.is_punct(k, ',') {
-                at_field_start = true;
-            } else if self.is_punct(k, '#') && self.is_punct(k + 1, '[') {
-                // Skip field attributes.
-                let mut d = 1i64;
-                let mut m = k + 2;
-                while m < body_end && d > 0 {
-                    if self.is_punct(m, '[') {
-                        d += 1;
-                    } else if self.is_punct(m, ']') {
-                        d -= 1;
-                    }
-                    m += 1;
-                }
-                k = m;
-                continue;
-            } else if depth == 0
-                && angle == 0
-                && at_field_start
-                && self.toks[k].kind == TokKind::Ident
-                && self.is_punct(k + 1, ':')
-                && !self.is_punct(k + 2, ':')
-            {
-                let t = &self.toks[k];
-                if !matches!(t.text.as_str(), "pub" | "crate" | "super" | "in") {
-                    fields.push((t.text.clone(), t.line));
-                    at_field_start = false;
-                }
-            }
-            k += 1;
-        }
-        self.out.structs.push(StructItem {
-            file: self.path.to_string(),
-            name,
-            fields,
-            in_test: self.in_test(i),
-        });
-        body_end
-    }
-
-    /// `const NAME: T = …;` — records string literals in the initializer.
-    fn const_item(&mut self, i: usize, end: usize) -> usize {
-        let Some(name) = self.ident(i + 1) else {
-            return i + 1;
-        };
-        let name = name.to_string();
-        let mut strs = Vec::new();
-        let mut j = i + 2;
+    /// `const NAME: T = …;` — steps over the initializer, whose braces
+    /// and closures are not items.
+    fn skip_const(&self, i: usize, end: usize) -> usize {
+        let mut j = i + 1;
         let mut depth = 0i64;
         while j < end {
             if self.is_punct(j, '{') || self.is_punct(j, '[') || self.is_punct(j, '(') {
@@ -387,16 +277,9 @@ impl Parser<'_> {
                 depth -= 1;
             } else if depth == 0 && self.is_punct(j, ';') {
                 break;
-            } else if self.toks[j].kind == TokKind::Str {
-                strs.push(self.toks[j].text.clone());
             }
             j += 1;
         }
-        self.out.consts.push(ConstItem {
-            file: self.path.to_string(),
-            name,
-            strs,
-        });
         j + 1
     }
 
@@ -524,7 +407,7 @@ impl Parser<'_> {
             j += 1;
         }
         let body_end = self.match_brace(j);
-        let (calls, sinks, strs) = self.scan_body(j + 1, body_end.saturating_sub(1));
+        let (calls, sinks) = self.scan_body(j + 1, body_end.saturating_sub(1));
         self.out.fns.push(FnItem {
             file: self.path.to_string(),
             crate_name: self.crate_name(),
@@ -535,16 +418,14 @@ impl Parser<'_> {
             in_test: self.in_test(i),
             calls,
             sinks,
-            strs,
         });
         body_end
     }
 
-    /// Flat scan of a body range for call sites, sinks, and strings.
-    fn scan_body(&self, start: usize, end: usize) -> (Vec<Call>, Vec<Sink>, Vec<String>) {
+    /// Flat scan of a body range for call sites and sinks.
+    fn scan_body(&self, start: usize, end: usize) -> (Vec<Call>, Vec<Sink>) {
         let mut calls = Vec::new();
         let mut sinks = Vec::new();
-        let mut strs = Vec::new();
         let toks = self.toks;
         // `.push(…)` only counts as an alloc sink when the same body also
         // conjures a Vec out of nothing.
@@ -564,7 +445,6 @@ impl Parser<'_> {
         for k in start..end.min(toks.len()) {
             let t = &toks[k];
             match t.kind {
-                TokKind::Str => strs.push(t.text.clone()),
                 TokKind::Ident => {
                     let name = t.text.as_str();
                     // Macro invocation: `name !`.
@@ -722,7 +602,7 @@ impl Parser<'_> {
                 _ => {}
             }
         }
-        (calls, sinks, strs)
+        (calls, sinks)
     }
 
     /// Advances past a balanced `<…>` group starting at `open`.
@@ -875,36 +755,6 @@ mod tests {
         assert!(m
             .aliases
             .contains(&("Dbg".to_string(), "Debug".to_string())));
-    }
-
-    #[test]
-    fn structs_record_named_fields_and_skip_tuple_structs() {
-        let m = model(
-            "crates/sim/src/x.rs",
-            "
-            pub struct Named { pub a: u64, b: Vec<(String, u64)>, pub(crate) c: F }
-            pub struct Tuple(u64, u64);
-            pub struct Unit;
-            ",
-        );
-        assert_eq!(m.structs.len(), 1);
-        let fields: Vec<&str> = m.structs[0]
-            .fields
-            .iter()
-            .map(|(f, _)| f.as_str())
-            .collect();
-        assert_eq!(fields, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn consts_record_their_string_tables() {
-        let m = model(
-            "crates/obs/src/x.rs",
-            r#"const REQUIRED_FIELDS: [&str; 2] = ["name", "git"]; fn f() {}"#,
-        );
-        assert_eq!(m.consts.len(), 1);
-        assert_eq!(m.consts[0].name, "REQUIRED_FIELDS");
-        assert_eq!(m.consts[0].strs, vec!["name", "git"]);
     }
 
     #[test]

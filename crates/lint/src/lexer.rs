@@ -6,9 +6,7 @@
 //! keep their own token kind (so a `HashMap` mentioned in a doc comment
 //! or a `".unwrap()"` inside a string literal can never trigger an
 //! identifier rule). Comments are retained separately because SAFE-001
-//! checks for adjacent `// SAFETY:` annotations; string contents are
-//! retained on the `Str` token because SCHEMA-001 cross-checks codec key
-//! names against struct fields.
+//! checks for adjacent `// SAFETY:` annotations.
 //!
 //! Handled syntax: line and (nested) block comments, string literals with
 //! escapes, raw strings (`r"…"`, `r#"…"#`), byte and C strings (`b"…"`,
@@ -23,9 +21,8 @@ pub enum TokKind {
     Ident,
     /// A single punctuation character.
     Punct,
-    /// String literal of any flavour (contents retained in `text` so
-    /// SCHEMA-001 can cross-check codec key names; no *rule* treats a
-    /// `Str` token as code, so string contents still cannot trigger the
+    /// String literal of any flavour (contents in `text`; no rule treats a
+    /// `Str` token as code, so string contents cannot trigger the
     /// identifier-matching rules).
     Str,
     /// Char or byte-char literal.

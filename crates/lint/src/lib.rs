@@ -14,9 +14,9 @@
 //! 2. **Workspace reachability rules** ([`graph`]): a lightweight item
 //!    model ([`items`]) — fns, impls, trait impls, `use` renames — feeds
 //!    a heuristic call graph, on which PANIC-002/ALLOC-001 (hot-path
-//!    panic/allocation freedom), DET-003 (transitive ambient-state
-//!    taint), and SCHEMA-001 (codec field drift) are evaluated, each
-//!    diagnostic carrying its root→sink call chain.
+//!    panic/allocation freedom) and DET-003 (transitive ambient-state
+//!    taint) are evaluated, each diagnostic carrying its root→sink call
+//!    chain.
 //!
 //! Deliberate exceptions live in a checked-in allowlist ([`allowlist`]),
 //! and `scripts/lint.sh` / the `lint-invariants` CI job fail the build on

@@ -25,7 +25,7 @@ options:
   --explain RULE   print the rationale and a minimal example for one rule,
                    then exit; known rules:
                    DET-001 DET-002 DET-003 PERF-001 SAFE-001 PANIC-001
-                   PANIC-002 ALLOC-001 IO-001 SCHEMA-001 ALLOW-001
+                   PANIC-002 ALLOC-001 IO-001 ALLOW-001
   -h, --help       this text
 
 exit codes:

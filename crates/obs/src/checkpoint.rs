@@ -141,36 +141,16 @@ impl Checkpoint {
         }
     }
 
-    /// The header fields, point count last: [`Checkpoint::header_line`]
-    /// pads it so a commit can rewrite it in place.
-    fn header_to_json(&self, count: u64) -> Json {
-        Json::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Json::UInt(CHECKPOINT_SCHEMA_VERSION),
-            ),
-            ("kind".to_string(), Json::Str(CHECKPOINT_KIND.to_string())),
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("fingerprint".to_string(), Json::UInt(self.fingerprint)),
-            ("points".to_string(), Json::UInt(count)),
-        ])
-    }
-
-    /// The newline-terminated header line committing `count` points.
-    fn header_line(&self, count: u64) -> String {
-        let mut line = self.header_to_json(count).to_compact();
-        line.pop(); // the closing brace: the count ends the line, padded
-        let digits = count.to_string().len();
-        line.push_str(&" ".repeat(COUNT_WIDTH - digits));
-        line.push_str("}\n");
-        line
-    }
-
     /// The compacted image: the header committing every point, then one
     /// record per point in key order. Deterministic byte-for-byte.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.header_line(self.points.len() as u64);
-        for (key, value) in &self.points {
+        let Checkpoint {
+            name,
+            fingerprint,
+            points,
+        } = self;
+        let mut out = header_line(name, *fingerprint, points.len() as u64);
+        for (key, value) in points {
             out.push_str(&record_line(key, value));
         }
         out.into_bytes()
@@ -241,7 +221,7 @@ impl Checkpoint {
     pub fn journal(&self, path: &Path) -> io::Result<CheckpointJournal> {
         self.save(path)?;
         // The padded count ends the header, just before its closing `}\n`.
-        let header_len = self.header_line(0).len();
+        let header_len = header_line(&self.name, self.fingerprint, 0).len();
         Ok(CheckpointJournal {
             file: DurableFile::open(path)?,
             count_at: (header_len - COUNT_WIDTH - "}\n".len()) as u64,
@@ -264,6 +244,28 @@ impl Checkpoint {
             Err(e) => Err(CheckpointError::Io(e)),
         }
     }
+}
+
+/// The newline-terminated header line committing `count` points. The
+/// count is the last field, space-padded so a commit can rewrite it in
+/// place.
+fn header_line(name: &str, fingerprint: u64, count: u64) -> String {
+    let mut line = Json::Obj(vec![
+        (
+            "schema_version".to_string(),
+            Json::UInt(CHECKPOINT_SCHEMA_VERSION),
+        ),
+        ("kind".to_string(), Json::Str(CHECKPOINT_KIND.to_string())),
+        ("name".to_string(), Json::Str(name.to_string())),
+        ("fingerprint".to_string(), Json::UInt(fingerprint)),
+        ("points".to_string(), Json::UInt(count)),
+    ])
+    .to_compact();
+    line.pop(); // the closing brace: the count ends the line, padded
+    let digits = count.to_string().len();
+    line.push_str(&" ".repeat(COUNT_WIDTH - digits));
+    line.push_str("}\n");
+    line
 }
 
 /// Validates a parsed header, returning `(name, fingerprint, points)`.
@@ -426,8 +428,8 @@ mod tests {
         assert_eq!(lines[2], r#"["sweep/llc=1m,mdc=64k",42]"#);
         // The header keeps its length whatever it commits.
         assert_eq!(
-            Checkpoint::new("fig2", 1).header_line(0).len(),
-            Checkpoint::new("fig2", 1).header_line(u64::MAX).len()
+            header_line("fig2", 1, 0).len(),
+            header_line("fig2", 1, u64::MAX).len()
         );
     }
 

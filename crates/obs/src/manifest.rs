@@ -20,7 +20,9 @@ use crate::metrics::Metrics;
 use crate::timer::Phases;
 
 /// Current manifest schema version. Bump on any breaking field change.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
+/// (v2: `config` holds the lossless simulation-configuration encoding
+/// that point fingerprints hash and the farm wire carries.)
+pub const MANIFEST_SCHEMA_VERSION: u64 = 2;
 
 /// Top-level fields every manifest must carry.
 const REQUIRED_FIELDS: [&str; 9] = [
@@ -107,8 +109,18 @@ impl Manifest {
 
     /// Assembles the manifest JSON document.
     pub fn to_json(&self) -> Json {
+        let Manifest {
+            name,
+            git,
+            created_unix,
+            wall,
+            phases,
+            params,
+            config,
+            metrics,
+        } = self;
         let phases = Json::Arr(
-            self.phases
+            phases
                 .iter()
                 .map(|(path, secs, entries)| {
                     Json::Obj(vec![
@@ -124,17 +136,14 @@ impl Manifest {
                 "schema_version".to_string(),
                 Json::UInt(MANIFEST_SCHEMA_VERSION),
             ),
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("git".to_string(), Json::Str(self.git.clone())),
-            ("created_unix".to_string(), Json::UInt(self.created_unix)),
-            (
-                "wall_seconds".to_string(),
-                Json::Float(self.wall.as_secs_f64()),
-            ),
+            ("name".to_string(), Json::Str(name.clone())),
+            ("git".to_string(), Json::Str(git.clone())),
+            ("created_unix".to_string(), Json::UInt(*created_unix)),
+            ("wall_seconds".to_string(), Json::Float(wall.as_secs_f64())),
             ("phases".to_string(), phases),
-            ("params".to_string(), Json::Obj(self.params.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("metrics".to_string(), self.metrics.clone()),
+            ("params".to_string(), Json::Obj(params.clone())),
+            ("config".to_string(), config.clone()),
+            ("metrics".to_string(), metrics.clone()),
         ])
     }
 
@@ -260,6 +269,12 @@ mod tests {
     fn round_trips_and_validates() {
         let doc = Json::parse(&sample().to_json().to_pretty()).unwrap();
         assert_eq!(validate_manifest(&doc), Vec::<String>::new());
+        // The decode table is exactly the encoder's top-level key list.
+        let Json::Obj(fields) = &doc else {
+            panic!("manifest encodes as an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, REQUIRED_FIELDS);
         assert_eq!(
             doc.get("schema_version").unwrap().as_u64(),
             Some(MANIFEST_SCHEMA_VERSION)

@@ -367,92 +367,6 @@ impl SimConfig {
     pub fn secure_config(&self) -> SecureConfig {
         SecureConfig::new(self.memory_bytes, self.counter_mode)
     }
-
-    /// The configuration as JSON for run manifests. Every field that can
-    /// change a simulation outcome appears, so two manifests with equal
-    /// `config` sections describe reproducible runs.
-    pub fn to_json(&self) -> maps_obs::Json {
-        use maps_obs::Json;
-        let partition = match &self.mdc.partition {
-            PartitionMode::None => Json::Obj(vec![("mode".into(), Json::Str("none".into()))]),
-            PartitionMode::Static(p) => Json::Obj(vec![
-                ("mode".into(), Json::Str("static".into())),
-                (
-                    "counter_ways".into(),
-                    Json::UInt(p.counter_way_count() as u64),
-                ),
-            ]),
-            PartitionMode::Dynamic {
-                a,
-                b,
-                leaders_per_side,
-            } => Json::Obj(vec![
-                ("mode".into(), Json::Str("dynamic".into())),
-                (
-                    "a_counter_ways".into(),
-                    Json::UInt(a.counter_way_count() as u64),
-                ),
-                (
-                    "b_counter_ways".into(),
-                    Json::UInt(b.counter_way_count() as u64),
-                ),
-                (
-                    "leaders_per_side".into(),
-                    Json::UInt(*leaders_per_side as u64),
-                ),
-            ]),
-            PartitionMode::PerTenant { tenants } => Json::Obj(vec![
-                ("mode".into(), Json::Str("per-tenant".into())),
-                ("tenants".into(), Json::UInt(*tenants as u64)),
-            ]),
-        };
-        let design = match self.mdc.design {
-            MdcDesign::SetAssoc => Json::Obj(vec![("kind".into(), Json::Str("set-assoc".into()))]),
-            MdcDesign::Randomized { seed } => Json::Obj(vec![
-                ("kind".into(), Json::Str("randomized".into())),
-                ("seed".into(), Json::UInt(seed)),
-            ]),
-        };
-        let mdc = Json::Obj(vec![
-            ("size_bytes".into(), Json::UInt(self.mdc.size_bytes)),
-            ("ways".into(), Json::UInt(self.mdc.ways as u64)),
-            (
-                "contents".into(),
-                Json::Str(self.mdc.contents.label().into()),
-            ),
-            ("policy".into(), Json::Str(self.mdc.policy.name().into())),
-            ("partition".into(), partition),
-            ("partial_writes".into(), Json::Bool(self.mdc.partial_writes)),
-            ("design".into(), design),
-        ]);
-        let counter_mode = match self.counter_mode {
-            CounterMode::SplitPi => "split-pi",
-            CounterMode::SgxMonolithic => "sgx-monolithic",
-        };
-        Json::Obj(vec![
-            ("l1_bytes".into(), Json::UInt(self.l1_bytes)),
-            ("l1_ways".into(), Json::UInt(self.l1_ways as u64)),
-            ("l2_bytes".into(), Json::UInt(self.l2_bytes)),
-            ("l2_ways".into(), Json::UInt(self.l2_ways as u64)),
-            ("llc_bytes".into(), Json::UInt(self.llc_bytes)),
-            ("llc_ways".into(), Json::UInt(self.llc_ways as u64)),
-            ("memory_bytes".into(), Json::UInt(self.memory_bytes)),
-            ("counter_mode".into(), Json::Str(counter_mode.into())),
-            ("mdc".into(), mdc),
-            (
-                "dram_latency_cycles".into(),
-                Json::UInt(self.dram.latency_cycles),
-            ),
-            ("hash_latency".into(), Json::UInt(self.hash_latency)),
-            ("speculation".into(), Json::Bool(self.speculation)),
-            (
-                "speculation_window".into(),
-                Json::UInt(self.speculation_window),
-            ),
-            ("secure".into(), Json::Bool(self.secure)),
-            ("warmup_fraction".into(), Json::Float(self.warmup_fraction)),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -500,42 +414,5 @@ mod tests {
         let c = SimConfig::insecure_baseline();
         assert!(!c.secure);
         assert_eq!(c.mdc.size_bytes, 0);
-    }
-
-    #[test]
-    fn config_json_round_trips_and_names_the_policy() {
-        let c = SimConfig::paper_default();
-        let j = c.to_json();
-        let text = j.to_pretty();
-        let parsed = maps_obs::Json::parse(&text).expect("config JSON parses");
-        assert_eq!(parsed.get("llc_bytes").unwrap().as_u64(), Some(2 << 20));
-        let mdc = parsed.get("mdc").unwrap();
-        assert_eq!(mdc.get("policy").unwrap().as_str(), Some("pseudo-lru"));
-        assert_eq!(
-            mdc.get("partition").unwrap().get("mode").unwrap().as_str(),
-            Some("none")
-        );
-        assert_eq!(
-            mdc.get("design").unwrap().get("kind").unwrap().as_str(),
-            Some("set-assoc")
-        );
-    }
-
-    #[test]
-    fn design_and_tenant_partition_appear_in_json() {
-        let mut c = SimConfig::paper_default();
-        c.mdc = c
-            .mdc
-            .with_design(MdcDesign::Randomized { seed: 42 })
-            .with_partition(PartitionMode::PerTenant { tenants: 3 });
-        assert_eq!(c.mdc.design.name(), "randomized");
-        let parsed = maps_obs::Json::parse(&c.to_json().to_pretty()).unwrap();
-        let mdc = parsed.get("mdc").unwrap();
-        let design = mdc.get("design").unwrap();
-        assert_eq!(design.get("kind").unwrap().as_str(), Some("randomized"));
-        assert_eq!(design.get("seed").unwrap().as_u64(), Some(42));
-        let partition = mdc.get("partition").unwrap();
-        assert_eq!(partition.get("mode").unwrap().as_str(), Some("per-tenant"));
-        assert_eq!(partition.get("tenants").unwrap().as_u64(), Some(3));
     }
 }

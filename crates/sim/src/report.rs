@@ -65,9 +65,10 @@ fn get_obj<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ReportCodecError> {
 }
 
 fn dram_to_json(d: &DramCounters) -> Json {
+    let DramCounters { reads, writes } = d;
     Json::Obj(vec![
-        ("reads".to_string(), Json::UInt(d.reads)),
-        ("writes".to_string(), Json::UInt(d.writes)),
+        ("reads".to_string(), Json::UInt(*reads)),
+        ("writes".to_string(), Json::UInt(*writes)),
     ])
 }
 
@@ -126,6 +127,79 @@ fn cache_stats_from_json(doc: &Json) -> Result<CacheStats, ReportCodecError> {
         };
     }
     Ok(CacheStats::from_buckets(buckets))
+}
+
+fn hierarchy_to_json(h: &HierarchyStats) -> Json {
+    let HierarchyStats {
+        accesses,
+        instructions,
+        l1_misses,
+        l2_misses,
+        llc_demand_misses,
+        llc_writebacks,
+    } = h;
+    Json::Obj(vec![
+        ("accesses".to_string(), Json::UInt(*accesses)),
+        ("instructions".to_string(), Json::UInt(*instructions)),
+        ("l1_misses".to_string(), Json::UInt(*l1_misses)),
+        ("l2_misses".to_string(), Json::UInt(*l2_misses)),
+        (
+            "llc_demand_misses".to_string(),
+            Json::UInt(*llc_demand_misses),
+        ),
+        ("llc_writebacks".to_string(), Json::UInt(*llc_writebacks)),
+    ])
+}
+
+fn engine_to_json(e: &EngineStats) -> Json {
+    let EngineStats {
+        meta,
+        dram_data,
+        dram_meta,
+        tree_walks,
+        tree_walk_level_misses,
+        page_overflows,
+        partial_fill_reads,
+        stall_cycles,
+        reads,
+        writes,
+        max_cascade_depth,
+    } = e;
+    Json::Obj(vec![
+        ("meta".to_string(), cache_stats_to_json(meta)),
+        ("dram_data".to_string(), dram_to_json(dram_data)),
+        ("dram_meta".to_string(), dram_to_json(dram_meta)),
+        ("tree_walks".to_string(), Json::UInt(*tree_walks)),
+        (
+            "tree_walk_level_misses".to_string(),
+            Json::UInt(*tree_walk_level_misses),
+        ),
+        ("page_overflows".to_string(), Json::UInt(*page_overflows)),
+        (
+            "partial_fill_reads".to_string(),
+            Json::UInt(*partial_fill_reads),
+        ),
+        ("stall_cycles".to_string(), Json::UInt(*stall_cycles)),
+        ("reads".to_string(), Json::UInt(*reads)),
+        ("writes".to_string(), Json::UInt(*writes)),
+        (
+            "max_cascade_depth".to_string(),
+            Json::UInt(*max_cascade_depth),
+        ),
+    ])
+}
+
+fn tenant_to_json(t: &TenantMdcStats) -> Json {
+    let TenantMdcStats {
+        tenant,
+        meta,
+        occupancy,
+    } = t;
+    Json::Obj(vec![
+        ("tenant".to_string(), Json::UInt(u64::from(*tenant))),
+        ("meta".to_string(), cache_stats_to_json(meta)),
+        ("occupancy".to_string(), Json::UInt(*occupancy)),
+    ])
 }
 
 /// Per-tenant metadata-cache breakdown for one tenant that issued at
@@ -240,79 +314,44 @@ impl SimReport {
     /// 64 bits and floats are stored as raw bit patterns, so
     /// `from_json(to_json(r)) == r` bitwise.
     pub fn to_json(&self) -> Json {
-        let h = &self.hierarchy;
-        let hierarchy = Json::Obj(vec![
-            ("accesses".to_string(), Json::UInt(h.accesses)),
-            ("instructions".to_string(), Json::UInt(h.instructions)),
-            ("l1_misses".to_string(), Json::UInt(h.l1_misses)),
-            ("l2_misses".to_string(), Json::UInt(h.l2_misses)),
-            (
-                "llc_demand_misses".to_string(),
-                Json::UInt(h.llc_demand_misses),
-            ),
-            ("llc_writebacks".to_string(), Json::UInt(h.llc_writebacks)),
-        ]);
-        let e = &self.engine;
-        let engine = Json::Obj(vec![
-            ("meta".to_string(), cache_stats_to_json(&e.meta)),
-            ("dram_data".to_string(), dram_to_json(&e.dram_data)),
-            ("dram_meta".to_string(), dram_to_json(&e.dram_meta)),
-            ("tree_walks".to_string(), Json::UInt(e.tree_walks)),
-            (
-                "tree_walk_level_misses".to_string(),
-                Json::UInt(e.tree_walk_level_misses),
-            ),
-            ("page_overflows".to_string(), Json::UInt(e.page_overflows)),
-            (
-                "partial_fill_reads".to_string(),
-                Json::UInt(e.partial_fill_reads),
-            ),
-            ("stall_cycles".to_string(), Json::UInt(e.stall_cycles)),
-            ("reads".to_string(), Json::UInt(e.reads)),
-            ("writes".to_string(), Json::UInt(e.writes)),
-            (
-                "max_cascade_depth".to_string(),
-                Json::UInt(e.max_cascade_depth),
-            ),
-        ]);
+        let SimReport {
+            workload,
+            instructions,
+            cycles,
+            hierarchy,
+            engine,
+            tenants,
+            energy,
+        } = self;
         let energy = Json::Obj(vec![
-            ("cycles".to_string(), Json::UInt(self.energy.cycles())),
+            ("cycles".to_string(), Json::UInt(energy.cycles())),
             (
                 "dram_pj_bits".to_string(),
-                Json::UInt(self.energy.dram_pj().to_bits()),
+                Json::UInt(energy.dram_pj().to_bits()),
             ),
             (
                 "sram_pj_bits".to_string(),
-                Json::UInt(self.energy.sram_pj().to_bits()),
+                Json::UInt(energy.sram_pj().to_bits()),
             ),
             (
                 "static_pj_bits".to_string(),
-                Json::UInt(self.energy.static_pj().to_bits()),
+                Json::UInt(energy.static_pj().to_bits()),
             ),
         ]);
-        let tenants = Json::Arr(
-            self.tenants
-                .iter()
-                .map(|t| {
-                    Json::Obj(vec![
-                        ("tenant".to_string(), Json::UInt(u64::from(t.tenant))),
-                        ("meta".to_string(), cache_stats_to_json(&t.meta)),
-                        ("occupancy".to_string(), Json::UInt(t.occupancy)),
-                    ])
-                })
-                .collect(),
-        );
         Json::Obj(vec![
             (
                 "schema_version".to_string(),
                 Json::UInt(REPORT_SCHEMA_VERSION),
             ),
-            ("workload".to_string(), Json::Str(self.workload.clone())),
-            ("instructions".to_string(), Json::UInt(self.instructions)),
-            ("cycles".to_string(), Json::UInt(self.cycles)),
-            ("hierarchy".to_string(), hierarchy),
-            ("engine".to_string(), engine),
-            ("tenants".to_string(), tenants),
+            ("workload".to_string(), Json::Str(workload.clone())),
+            ("instructions".to_string(), Json::UInt(*instructions)),
+            ("cycles".to_string(), Json::UInt(*cycles)),
+            ("hierarchy".to_string(), hierarchy_to_json(hierarchy)),
+            ("engine".to_string(), engine_to_json(engine)),
+            (
+                "tenants".to_string(),
+                Json::Arr(tenants.iter().map(tenant_to_json).collect()),
+            ),
             ("energy".to_string(), energy),
         ])
     }
@@ -528,6 +567,73 @@ mod tests {
         assert_eq!(
             decoded.energy.dram_pj().to_bits(),
             r.energy.dram_pj().to_bits()
+        );
+    }
+
+    #[test]
+    fn json_codec_is_pinned_byte_for_byte() {
+        // The checkpoint record of a small report with every field set:
+        // key names and order are part of the on-disk format.
+        let mut meta = CacheStats::default();
+        meta.record_access(maps_trace::BlockKind::Counter, false);
+        meta.record_access(maps_trace::BlockKind::Hash, true);
+        meta.record_eviction(maps_trace::BlockKind::Tree(0), true);
+        let mut tenant_meta = CacheStats::default();
+        tenant_meta.record_access(maps_trace::BlockKind::Counter, false);
+        let r = SimReport {
+            workload: "gups".to_string(),
+            instructions: 1000,
+            cycles: 2500,
+            hierarchy: HierarchyStats {
+                accesses: 400,
+                instructions: 1000,
+                l1_misses: 90,
+                l2_misses: 40,
+                llc_demand_misses: 12,
+                llc_writebacks: 3,
+            },
+            engine: EngineStats {
+                meta,
+                dram_data: DramCounters {
+                    reads: 12,
+                    writes: 3,
+                },
+                dram_meta: DramCounters {
+                    reads: 5,
+                    writes: 2,
+                },
+                tree_walks: 4,
+                tree_walk_level_misses: 6,
+                page_overflows: 1,
+                partial_fill_reads: 8,
+                stall_cycles: 700,
+                reads: 300,
+                writes: 100,
+                max_cascade_depth: 2,
+            },
+            tenants: vec![TenantMdcStats {
+                tenant: 1,
+                meta: tenant_meta,
+                occupancy: 9,
+            }],
+            energy: EnergyDelay::from_parts(2500, 1.5, 0.25, 3.0),
+        };
+        assert_eq!(
+            r.to_json().to_compact(),
+            concat!(
+                r#"{"schema_version":2,"workload":"gups","instructions":1000,"cycles":2500,"#,
+                r#""hierarchy":{"accesses":400,"instructions":1000,"l1_misses":90,"#,
+                r#""l2_misses":40,"llc_demand_misses":12,"llc_writebacks":3},"#,
+                r#""engine":{"meta":{"buckets":[[0,0,0,0,0],[1,0,1,0,0],[1,1,0,0,0],"#,
+                r#"[0,0,0,1,1]]},"dram_data":{"reads":12,"writes":3},"#,
+                r#""dram_meta":{"reads":5,"writes":2},"tree_walks":4,"#,
+                r#""tree_walk_level_misses":6,"page_overflows":1,"partial_fill_reads":8,"#,
+                r#""stall_cycles":700,"reads":300,"writes":100,"max_cascade_depth":2},"#,
+                r#""tenants":[{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[1,0,1,0,0],"#,
+                r#"[0,0,0,0,0],[0,0,0,0,0]]},"occupancy":9}],"#,
+                r#""energy":{"cycles":2500,"dram_pj_bits":4609434218613702656,"#,
+                r#""sram_pj_bits":4598175219545276416,"static_pj_bits":4613937818241073152}}"#,
+            )
         );
     }
 
