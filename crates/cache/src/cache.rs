@@ -153,9 +153,15 @@ impl<P: Policy> SetAssocCache<P> {
 
     /// The resident line for `key`, if any (no state change).
     pub fn line(&self, key: u64) -> Option<Line> {
+        self.frame_of(key).map(|idx| self.line_at(idx))
+    }
+
+    /// The frame holding `key` (`set * ways + way`), if resident (no
+    /// state change).
+    pub fn frame_of(&self, key: u64) -> Option<usize> {
         let set = self.cfg.set_of(key);
         let way = self.find_way(set, key)?;
-        Some(self.line_at(set * self.cfg.ways() + way))
+        Some(set * self.cfg.ways() + way)
     }
 
     /// Prefetches the tag and timestamp rows of `key`'s set into the host

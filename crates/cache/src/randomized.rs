@@ -227,10 +227,10 @@ impl RandomizedCache {
             .map(|f| self.line_at(f))
     }
 
-    /// The owning tenant of `key`'s frame, if resident.
-    pub fn owner_of(&self, key: u64) -> Option<u8> {
-        let (_, frame) = self.locate(key)?;
-        Some(self.fowner[frame])
+    /// The data-store frame holding `key`, if resident (no state
+    /// change).
+    pub fn frame_of(&self, key: u64) -> Option<usize> {
+        self.locate(key).map(|(_, frame)| frame)
     }
 
     /// Accesses `key` as `tenant`, allocating on miss.

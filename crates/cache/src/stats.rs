@@ -127,37 +127,6 @@ impl CacheStats {
         CacheStats { buckets }
     }
 
-    /// Element-wise difference `self - earlier`. The per-tenant
-    /// accounting layer snapshots a cache's stats before an access and
-    /// attributes the after-minus-before delta to the requesting tenant,
-    /// so Σ per-tenant counters equals the global counters by
-    /// construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if any counter in `earlier` exceeds the
-    /// corresponding counter in `self`; counters are monotonic, so that
-    /// means the snapshot came from a different cache.
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        let mut out = CacheStats::default();
-        for (o, (now, was)) in out
-            .buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&earlier.buckets))
-        {
-            debug_assert!(
-                now.accesses >= was.accesses && now.evictions >= was.evictions,
-                "stats snapshot is not a prefix of the current stats"
-            );
-            o.accesses = now.accesses.saturating_sub(was.accesses);
-            o.hits = now.hits.saturating_sub(was.hits);
-            o.misses = now.misses.saturating_sub(was.misses);
-            o.evictions = now.evictions.saturating_sub(was.evictions);
-            o.writebacks = now.writebacks.saturating_sub(was.writebacks);
-        }
-        out
-    }
-
     /// Element-wise accumulation of `other` into `self`.
     pub fn accumulate(&mut self, other: &CacheStats) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {

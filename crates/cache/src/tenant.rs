@@ -13,19 +13,21 @@
 //!   levels stays usable by everyone, exactly like way-based DRAM cache
 //!   partitioning in real parts).
 //! * [`TenantStatsTable`] — per-tenant [`CacheStats`] plus an occupancy
-//!   ledger. Attribution is by delta: the caller snapshots the cache's
-//!   global stats before an access and feeds the after-minus-before
-//!   difference to the requesting tenant, so the per-tenant counters sum
-//!   to the global ones for *any* interleaving, by construction.
+//!   ledger. The caller books each access, and the eviction it caused,
+//!   straight to the requesting tenant, so the per-tenant counters sum to
+//!   the cache's own counters as long as every access is booked. Line
+//!   owners live in a per-frame column: a fill that replaces a victim
+//!   reuses the victim's frame, so the column names the tenant to debit.
 //!
-//! Everything here is deterministic and allocation-free on the access
-//! path except the owner map (one hash-map update per fill/eviction).
+//! Everything here is deterministic, hash-free and O(1) per access; the
+//! access path allocates only when a tenant id is seen for the first
+//! time.
 
 use std::fmt;
 
-use maps_trace::det::DetHashMap;
+use maps_trace::BlockKind;
 
-use crate::CacheStats;
+use crate::{CacheStats, Line};
 
 /// An invalid tenant split: every tenant must get at least one way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,21 +111,27 @@ impl TenantPartition {
 
 /// Per-tenant statistics and occupancy for one cache.
 ///
-/// Grows on demand as tenant ids appear; tenants that never accessed the
-/// cache occupy no space and report zeroed stats.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Stats rows grow on demand as tenant ids appear; tenants that never
+/// accessed the cache occupy no row and report zeroed stats. Occupancy
+/// is kept through an owner column with one byte per cache frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStatsTable {
     stats: Vec<CacheStats>,
     occupancy: Vec<u64>,
-    /// Resident block key -> owning tenant, for occupancy attribution of
-    /// evictions (the evicted line does not carry its owner).
-    owner: DetHashMap<u64, u8>,
+    /// Owning tenant per cache frame. Meaningful only while the frame is
+    /// occupied: a drained frame keeps its last owner until the next fill
+    /// overwrites it.
+    owners: Vec<u8>,
 }
 
 impl TenantStatsTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty table for a cache of `frames` line frames.
+    pub fn new(frames: usize) -> Self {
+        Self {
+            stats: Vec::new(),
+            occupancy: Vec::new(),
+            owners: vec![0; frames],
+        }
     }
 
     fn slot(&mut self, tenant: u8) -> usize {
@@ -135,38 +143,40 @@ impl TenantStatsTable {
         t
     }
 
-    /// Attributes a stats delta (after-minus-before around one access)
-    /// to `tenant`.
-    pub fn add_delta(&mut self, tenant: u8, delta: &CacheStats) {
+    /// Books one access of `kind` by `tenant` (a hit, a miss, or a
+    /// statistics-only probe) and the eviction it caused, if any —
+    /// exactly what the cache recorded in its own stats for that access.
+    pub fn book(&mut self, tenant: u8, kind: BlockKind, hit: bool, evicted: Option<&Line>) {
         let t = self.slot(tenant);
-        self.stats[t].accumulate(delta);
+        let s = &mut self.stats[t];
+        s.record_access(kind, hit);
+        if let Some(victim) = evicted {
+            s.record_eviction(victim.kind, victim.dirty);
+        }
     }
 
-    /// Records that `tenant` now owns the resident line `key`.
-    pub fn note_fill(&mut self, key: u64, tenant: u8) {
+    /// Records that `tenant` filled `frame`. `replaced` says the fill
+    /// evicted the frame's previous line, whose owner is debited first;
+    /// otherwise the frame was empty.
+    pub fn note_fill(&mut self, frame: usize, tenant: u8, replaced: bool) {
         let t = self.slot(tenant);
-        if let Some(prev) = self.owner.insert(key, tenant) {
-            // A fill over a still-tracked key means the previous owner's
-            // line left the cache without `note_evict` (should not
-            // happen); keep the ledger consistent anyway.
-            let p = self.slot(prev);
-            self.occupancy[p] = self.occupancy[p].saturating_sub(1);
+        let Some(owner) = self.owners.get_mut(frame) else {
+            debug_assert!(false, "frame {frame} outside the owner column");
+            return;
+        };
+        if replaced {
+            // The column starts at tenant 0 and every owner written since
+            // went through `slot`, so the previous owner's row exists.
+            let prev = &mut self.occupancy[*owner as usize];
+            *prev = prev.saturating_sub(1);
         }
+        *owner = tenant;
         self.occupancy[t] += 1;
     }
 
-    /// Records that the resident line `key` left the cache (eviction,
-    /// invalidation, or drain), returning its owner if it was tracked.
-    pub fn note_evict(&mut self, key: u64) -> Option<u8> {
-        let tenant = self.owner.remove(&key)?;
-        let t = self.slot(tenant);
-        self.occupancy[t] = self.occupancy[t].saturating_sub(1);
-        Some(tenant)
-    }
-
-    /// The owning tenant of a resident line, if tracked.
-    pub fn owner_of(&self, key: u64) -> Option<u8> {
-        self.owner.get(&key).copied()
+    /// Records that every resident line left the cache.
+    pub fn note_drain(&mut self) {
+        self.occupancy.fill(0);
     }
 
     /// Accumulated stats for `tenant` (zeroes if never seen).
@@ -179,16 +189,18 @@ impl TenantStatsTable {
         self.occupancy.get(tenant as usize).copied().unwrap_or(0)
     }
 
-    /// Tenant ids that have ever been attributed an access or a fill, in
-    /// ascending order.
+    /// Tenant ids, in ascending order, that were booked an access since
+    /// the last [`TenantStatsTable::reset_stats`] or own a resident line
+    /// (a tenant whose lines survive from warm-up is listed).
     pub fn tenants(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..self.stats.len() as u8).filter(move |&t| {
-            self.stats[t as usize].total().accesses != 0 || self.occupancy[t as usize] != 0
-        })
+        (0..=u8::MAX)
+            .zip(self.stats.iter().zip(&self.occupancy))
+            .filter(|(_, (s, &occ))| s.total().accesses != 0 || occ != 0)
+            .map(|(t, _)| t)
     }
 
     /// Sum of all per-tenant stats (equals the cache's global stats over
-    /// the same interval when every access was attributed).
+    /// the same interval when every access was booked).
     pub fn combined(&self) -> CacheStats {
         let mut sum = CacheStats::default();
         for s in &self.stats {
@@ -210,7 +222,6 @@ impl TenantStatsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maps_trace::BlockKind;
 
     #[test]
     fn even_split_covers_all_ways_disjointly() {
@@ -255,37 +266,57 @@ mod tests {
     }
 
     #[test]
-    fn delta_attribution_sums_to_global() {
+    fn booked_accesses_sum_to_global() {
         let mut global = CacheStats::default();
-        let mut table = TenantStatsTable::new();
+        let mut table = TenantStatsTable::new(8);
         for i in 0..100u64 {
             let tenant = (i % 3) as u8;
-            let before = global;
-            global.record_access(BlockKind::Counter, i % 2 == 0);
-            if i % 5 == 0 {
-                global.record_eviction(BlockKind::Counter, i % 10 == 0);
-            }
-            table.add_delta(tenant, &global.delta_since(&before));
+            let hit = i % 2 == 0;
+            global.record_access(BlockKind::Counter, hit);
+            let victim = (i % 5 == 0).then(|| {
+                let mut line = Line::filled(i, BlockKind::Hash, i);
+                line.dirty = i % 10 == 0;
+                global.record_eviction(line.kind, line.dirty);
+                line
+            });
+            table.book(tenant, BlockKind::Counter, hit, victim.as_ref());
         }
         assert_eq!(table.combined(), global);
         assert_eq!(table.tenants().count(), 3);
     }
 
     #[test]
-    fn occupancy_ledger_tracks_fills_and_evictions() {
-        let mut table = TenantStatsTable::new();
-        table.note_fill(10, 1);
-        table.note_fill(11, 1);
-        table.note_fill(20, 2);
+    fn occupancy_ledger_tracks_fills_and_replacements() {
+        let mut table = TenantStatsTable::new(4);
+        table.note_fill(0, 1, false);
+        table.note_fill(1, 1, false);
+        table.note_fill(2, 2, false);
         assert_eq!(table.occupancy(1), 2);
         assert_eq!(table.occupancy(2), 1);
-        assert_eq!(table.owner_of(10), Some(1));
-        assert_eq!(table.note_evict(10), Some(1));
+        // Tenant 2 replaces tenant 1's line in frame 0.
+        table.note_fill(0, 2, true);
         assert_eq!(table.occupancy(1), 1);
-        assert_eq!(table.note_evict(99), None);
+        assert_eq!(table.occupancy(2), 2);
         // Reset keeps the occupancy ledger.
-        table.add_delta(1, &CacheStats::default());
+        table.book(1, BlockKind::Counter, false, None);
         table.reset_stats();
         assert_eq!(table.occupancy(1), 1);
+        assert_eq!(table.stats(1), CacheStats::default());
+        table.note_drain();
+        assert_eq!((table.occupancy(1), table.occupancy(2)), (0, 0));
+        // A drained frame is refilled as empty: nobody is debited.
+        table.note_fill(0, 1, false);
+        assert_eq!((table.occupancy(1), table.occupancy(2)), (1, 0));
+    }
+
+    #[test]
+    fn tenant_255_keeps_every_row() {
+        let mut table = TenantStatsTable::new(4);
+        table.book(255, BlockKind::Counter, false, None);
+        table.note_fill(0, 255, false);
+        table.book(0, BlockKind::Counter, false, None);
+        table.note_fill(1, 0, false);
+        assert_eq!(table.tenants().collect::<Vec<_>>(), vec![0, 255]);
+        assert_eq!(table.occupancy(255), 1);
     }
 }

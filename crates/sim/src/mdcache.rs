@@ -4,9 +4,10 @@
 //! set-associative cache and a MIRAGE-style fully-associative randomized
 //! cache ([`MdcDesign`]). Every policy knob, the differential oracle, and
 //! the fault campaigns drive both through the same entry points; accesses
-//! carry the requesting [`TenantId`] so per-tenant statistics and
-//! occupancy are attributed by stats delta (they sum to the global
-//! counters for any interleaving, by construction).
+//! carry the requesting [`TenantId`], and each call books its access,
+//! eviction and fill straight to that tenant, so per-tenant statistics
+//! sum to the cache's own counters for any interleaving (checked after
+//! every access in debug builds).
 
 use maps_cache::policy::AnyPolicy;
 use maps_cache::{
@@ -123,6 +124,10 @@ impl MetadataCache {
                 Backend::Rand(cache)
             }
         };
+        let frames = match &backend {
+            Backend::Set(c) => c.config().blocks(),
+            Backend::Rand(c) => c.capacity(),
+        };
         Some(Self {
             backend,
             contents: cfg.contents,
@@ -130,7 +135,7 @@ impl MetadataCache {
             dueling,
             tenant_split,
             ways: cfg.ways,
-            tenants: TenantStatsTable::new(),
+            tenants: TenantStatsTable::new(frames),
         })
     }
 
@@ -152,9 +157,9 @@ impl MetadataCache {
         }
     }
 
-    /// Per-tenant statistics and occupancy. Attribution is requester-pays
-    /// by stats delta, so for any interleaving the per-tenant counters
-    /// sum to [`MetadataCache::stats`] over the same interval.
+    /// Per-tenant statistics and occupancy. Attribution is requester-pays,
+    /// and every access is booked, so for any interleaving the per-tenant
+    /// counters sum to [`MetadataCache::stats`] over the same interval.
     pub fn tenant_stats(&self) -> &TenantStatsTable {
         &self.tenants
     }
@@ -179,9 +184,8 @@ impl MetadataCache {
         write: bool,
         tenant: TenantId,
     ) -> MdOutcome {
-        let before = *self.stats();
         let out = self.access_inner(key, kind, write, tenant);
-        self.attribute(key, tenant, &before, &out);
+        self.attribute(key, kind, tenant, &out);
         out
     }
 
@@ -202,25 +206,41 @@ impl MetadataCache {
         slot: u8,
         tenant: TenantId,
     ) -> MdOutcome {
-        let before = *self.stats();
         let out = self.write_partial_inner(key, kind, slot, tenant);
-        self.attribute(key, tenant, &before, &out);
+        self.attribute(key, kind, tenant, &out);
         out
     }
 
-    /// Books one access's global-stats delta, fill, and eviction to the
-    /// requesting tenant.
-    fn attribute(&mut self, key: u64, tenant: TenantId, before: &CacheStats, out: &MdOutcome) {
-        let delta = self.stats().delta_since(before);
-        self.tenants.add_delta(tenant.0, &delta);
-        if let Some(victim) = &out.evicted {
-            self.tenants.note_evict(victim.key);
-        }
+    /// Books one call's access, eviction, and fill to the requesting
+    /// tenant.
+    ///
+    /// Direct booking relies on a contract every entry point meets: one
+    /// `access`/`write_partial` call records exactly one access of `kind`
+    /// in the backend's stats (a hit, a miss, or a bypass probe) and at
+    /// most one eviction, which is the victim it returns. An admitted miss
+    /// always installs `key` (complete line or placeholder), and a fill
+    /// that returned a victim reused the victim's frame in both backends
+    /// (the same way of the set, or the frame just pushed on top of the
+    /// free stack), so the owner column debits the victim's owner.
+    fn attribute(&mut self, key: u64, kind: BlockKind, tenant: TenantId, out: &MdOutcome) {
+        self.tenants
+            .book(tenant.0, kind, out.hit, out.evicted.as_ref());
         if !out.hit && !out.bypassed {
-            // Admitted misses always install (complete line or
-            // placeholder) in both backends.
-            self.tenants.note_fill(key, tenant.0);
+            let frame = match &self.backend {
+                Backend::Set(c) => c.frame_of(key),
+                Backend::Rand(c) => c.frame_of(key),
+            };
+            debug_assert!(frame.is_some(), "admitted miss left key {key} unresident");
+            if let Some(frame) = frame {
+                self.tenants
+                    .note_fill(frame, tenant.0, out.evicted.is_some());
+            }
         }
+        debug_assert_eq!(
+            self.tenants.combined(),
+            *self.stats(),
+            "per-tenant booking diverged from the cache's stats"
+        );
     }
 
     fn access_inner(
@@ -384,9 +404,7 @@ impl MetadataCache {
             Backend::Set(c) => c.drain(),
             Backend::Rand(c) => c.drain(),
         };
-        for line in &lines {
-            self.tenants.note_evict(line.key);
-        }
+        self.tenants.note_drain();
         lines
     }
 
@@ -561,23 +579,60 @@ mod tests {
         assert_eq!(mdc.occupancy(), 0);
     }
 
-    #[test]
-    fn tenant_attribution_sums_to_global_and_tracks_occupancy() {
-        let mut c = cfg();
-        c.partition = PartitionMode::PerTenant { tenants: 2 };
-        let mut mdc = MetadataCache::new(&c).unwrap();
-        for i in 0..500u64 {
+    /// Drives two tenants' counter accesses, hash/tree accesses and
+    /// partial writes through `c`, then checks the per-tenant ledger
+    /// against the cache before and after a drain.
+    fn assert_ledger_conserves(c: &MdcConfig) {
+        let mut mdc = MetadataCache::new(c).unwrap();
+        for i in 0..600u64 {
             let tenant = TenantId((i % 2) as u8);
-            mdc.access(i % 90, BlockKind::Counter, i % 3 == 0, tenant);
+            let (kind, base) = match i % 3 {
+                0 => (BlockKind::Counter, 0),
+                1 => (BlockKind::Hash, 1000),
+                _ => (BlockKind::Tree(1), 2000),
+            };
+            let key = base + i % 90;
+            if kind != BlockKind::Counter && i % 4 == 0 {
+                mdc.write_partial(key, kind, (i % 8) as u8, tenant);
+            } else {
+                mdc.access(key, kind, i % 5 == 0, tenant);
+            }
         }
-        let combined = mdc.tenant_stats().combined();
-        assert_eq!(combined, *mdc.stats());
-        let occ: u64 = (0u8..2).map(|t| mdc.tenant_stats().occupancy(t)).sum();
-        assert_eq!(occ, mdc.occupancy() as u64);
+        let table = mdc.tenant_stats();
+        assert_eq!(table.combined(), *mdc.stats(), "{c:?}");
+        let occ: u64 = table.tenants().map(|t| table.occupancy(t)).sum();
+        assert_eq!(occ, mdc.occupancy() as u64, "{c:?}");
         // Drain clears the ledger.
         mdc.drain();
-        assert_eq!(mdc.tenant_stats().occupancy(0), 0);
-        assert_eq!(mdc.tenant_stats().occupancy(1), 0);
+        let table = mdc.tenant_stats();
+        assert!(table.tenants().all(|t| table.occupancy(t) == 0), "{c:?}");
+    }
+
+    #[test]
+    fn tenant_attribution_sums_to_global_and_tracks_occupancy() {
+        let partitions = [
+            PartitionMode::None,
+            PartitionMode::PerTenant { tenants: 2 },
+            PartitionMode::Dynamic {
+                a: Partition::counter_ways(2),
+                b: Partition::counter_ways(6),
+                leaders_per_side: 2,
+            },
+        ];
+        for design in [MdcDesign::SetAssoc, MdcDesign::Randomized { seed: 7 }] {
+            for partition in partitions {
+                for contents in [CacheContents::ALL, CacheContents::COUNTERS_ONLY] {
+                    for partial_writes in [false, true] {
+                        let mut c = cfg()
+                            .with_design(design)
+                            .with_partition(partition)
+                            .with_contents(contents);
+                        c.partial_writes = partial_writes;
+                        assert_ledger_conserves(&c);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

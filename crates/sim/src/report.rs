@@ -203,8 +203,13 @@ fn tenant_to_json(t: &TenantMdcStats) -> Json {
 }
 
 /// Per-tenant metadata-cache breakdown for one tenant that issued at
-/// least one access in the measured window (requester-pays attribution;
-/// the per-tenant rows sum to the global engine counters).
+/// least one access in the measured window or still holds lines, e.g.
+/// from warm-up (requester-pays attribution).
+///
+/// The rows sum to the metadata cache's own [`CacheStats`], not to the
+/// engine's `stats.meta`: the engine also counts bypassed-counter
+/// read-modify-writes and write-through tree updates that never reach
+/// the cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantMdcStats {
     /// The tenant.

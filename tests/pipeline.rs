@@ -1,9 +1,9 @@
 //! End-to-end pipeline tests: every workload profile through the full
 //! secure-memory simulation, with cross-crate consistency invariants.
 
-use maps::sim::{CacheContents, MdcConfig, SecureSim, SimConfig};
+use maps::sim::{CacheContents, MdcConfig, MdcDesign, PartitionMode, SecureSim, SimConfig};
 use maps::trace::MetaGroup;
-use maps::workloads::Benchmark;
+use maps::workloads::{Benchmark, TenantMix, TenantSchedule};
 
 const N: u64 = 30_000;
 
@@ -148,3 +148,47 @@ fn tree_walks_only_follow_counter_misses() {
     );
     assert!(r.engine.tree_walks > 0, "gups must miss counters");
 }
+
+#[test]
+fn two_tenant_ledger_rows_are_pinned() {
+    // gups (tenant 0) and mcf (tenant 1) interleaved per access. Each
+    // case pins the report's per-tenant rows as compact JSON, so any
+    // change to how the metadata cache books accesses, evictions or
+    // line owners shows up here.
+    let set = MdcDesign::SetAssoc;
+    let rand = MdcDesign::Randomized { seed: 0x5EED };
+    let shared = PartitionMode::None;
+    let split = PartitionMode::PerTenant { tenants: 2 };
+    let cases = [
+        (set, shared, false, SET_SHARED),
+        (set, shared, true, SET_SHARED),
+        (set, split, false, SET_SPLIT),
+        (set, split, true, SET_SPLIT_PARTIAL),
+        (rand, shared, false, RAND_SHARED),
+        (rand, shared, true, RAND_SHARED),
+        (rand, split, false, RAND_SPLIT),
+        (rand, split, true, RAND_SPLIT),
+    ];
+    for (design, partition, partial_writes, want) in cases {
+        let mut cfg = SimConfig::paper_default();
+        cfg.mdc = cfg.mdc.with_design(design).with_partition(partition);
+        cfg.mdc.partial_writes = partial_writes;
+        let mix = TenantMix::new(
+            vec![Benchmark::Gups.build(99), Benchmark::Mcf.build(99)],
+            TenantSchedule::CoreSharded,
+        );
+        let report = SecureSim::new(cfg, mix).run(20_000);
+        let rows = report.to_json().get("tenants").map(|t| t.to_compact());
+        assert_eq!(
+            rows.as_deref(),
+            Some(want),
+            "{design:?} {partition:?} partial_writes={partial_writes}"
+        );
+    }
+}
+
+const SET_SHARED: &str = r#"[{"tenant":0,"meta":{"buckets":[[0,0,0,0,0],[8970,62,8908,9074,12],[8970,5,8965,9218,11],[23612,8922,14690,14271,39]]},"occupancy":517},{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[8987,107,8880,8702,4],[8987,8,8979,8720,5],[22064,8889,13175,13612,20]]},"occupancy":507}]"#;
+const SET_SPLIT: &str = r#"[{"tenant":0,"meta":{"buckets":[[0,0,0,0,0],[8970,58,8912,8917,12],[8970,6,8964,8967,12],[23807,8937,14870,14862,51]]},"occupancy":512},{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[8987,109,8878,8872,5],[8987,7,8980,8972,5],[22074,8882,13192,13206,9]]},"occupancy":512}]"#;
+const SET_SPLIT_PARTIAL: &str = r#"[{"tenant":0,"meta":{"buckets":[[0,0,0,0,0],[8970,58,8912,8917,12],[8970,6,8964,8967,12],[23806,8937,14869,14861,51]]},"occupancy":512},{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[8987,109,8878,8872,5],[8987,7,8980,8972,5],[22075,8882,13193,13207,9]]},"occupancy":512}]"#;
+const RAND_SHARED: &str = r#"[{"tenant":0,"meta":{"buckets":[[0,0,0,0,0],[8970,66,8904,9185,14],[8970,8,8962,9194,8],[24748,8918,15830,15317,30]]},"occupancy":534},{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[8987,107,8880,8616,2],[8987,7,8980,8760,8],[23275,8899,14376,14860,40]]},"occupancy":490}]"#;
+const RAND_SPLIT: &str = r#"[{"tenant":0,"meta":{"buckets":[[0,0,0,0,0],[8970,67,8903,8888,12],[8970,7,8963,8965,12],[24861,8923,15938,15951,48]]},"occupancy":512},{"tenant":1,"meta":{"buckets":[[0,0,0,0,0],[8987,111,8876,8888,4],[8987,9,8978,8970,4],[23239,8875,14364,14360,17]]},"occupancy":512}]"#;
