@@ -168,13 +168,6 @@ pub fn capture_disabled() -> bool {
     std::env::var_os("MAPS_NO_CAPTURE").is_some_and(|v| v != "0")
 }
 
-/// Whether `MAPS_BATCH=0` forces the scalar replay loop instead of the
-/// batched engine path (used to cross-check artifacts byte-for-byte; both
-/// paths are bit-identical by construction and by test).
-pub fn batch_disabled() -> bool {
-    std::env::var_os("MAPS_BATCH").is_some_and(|v| v == "0")
-}
-
 /// Returns the shared capture for this front end, recording it on first
 /// use. Thread-safe: parallel sweep workers hitting the same key block on
 /// one in-flight recording and then share the result via `Arc`.
@@ -210,12 +203,7 @@ pub fn run_sim_cached(cfg: &SimConfig, bench: Benchmark, seed: u64, accesses: u6
         return run_sim(cfg, bench, seed, accesses);
     }
     let trace = captured_trace(cfg, bench, seed, accesses);
-    let replay = ReplaySim::new(cfg.clone(), &trace);
-    if batch_disabled() {
-        replay.run_scalar()
-    } else {
-        replay.run()
-    }
+    ReplaySim::new(cfg.clone(), &trace).run()
 }
 
 /// [`run_sim_cached`] with a [`MetricsProbe`](maps_sim::MetricsProbe) on the
@@ -233,12 +221,7 @@ pub fn run_sim_cached_probed(
         SecureSim::new(cfg.clone(), bench.build(seed)).run_observed(accesses, &mut probe)
     } else {
         let trace = captured_trace(cfg, bench, seed, accesses);
-        let replay = ReplaySim::new(cfg.clone(), &trace);
-        if batch_disabled() {
-            replay.run_scalar_observed(&mut probe)
-        } else {
-            replay.run_observed(&mut probe)
-        }
+        ReplaySim::new(cfg.clone(), &trace).run_observed(&mut probe)
     };
     (report, probe)
 }

@@ -65,9 +65,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PERF-001" => {
             "PERF-001: observer trait impl methods must be #[inline].\n\
              \n\
-             MetricSink/MetaObserver/BatchPrefetcher callbacks run per event\n\
-             inside the replay loop, usually behind generics the optimizer can\n\
-             only flatten when the impl is marked #[inline] across crate\n\
+             MetricSink/MetaObserver callbacks run per event inside the\n\
+             replay loop, usually behind generics the optimizer can only\n\
+             flatten when the impl is marked #[inline] across crate\n\
              boundaries (without it, no cross-crate inlining outside LTO\n\
              builds).\n\
              \n\
@@ -104,7 +104,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PANIC-002" => {
             "PANIC-002: no panic site reachable from the hot-path roots.\n\
              \n\
-             The batched replay kernel (MetadataEngine::handle_batch_with),\n\
+             The metadata engine's entry point (MetadataEngine::handle_batch),\n\
              both MDC backends' lookup paths (SetAssocCache::scan_set,\n\
              RandomizedCache::access), and every Policy callback drive\n\
              billions of events per sweep; a panic!/assert!/unwrap/expect or\n\
@@ -127,7 +127,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Box::new, vec!, format!, .to_string/.to_owned/.to_vec,\n\
              .collect(), and .push() on a Vec conjured in the same body.\n\
              Constructors are fine — only code reachable from\n\
-             MetadataEngine::handle_batch_with is scanned, and the oracle\n\
+             MetadataEngine::handle_batch is scanned, and the oracle\n\
              (naive by contract) is exempt.\n\
              \n\
              example (flagged, in a policy's rebuild()):\n\

@@ -26,13 +26,14 @@ use crate::items::{CallKind, FileModel, FnItem, SinkKind};
 use crate::rules::{RawDiag, CLOCK_EXEMPT_CRATES};
 use crate::Diagnostic;
 
-/// Hot-path roots for PANIC-002: the batched replay kernel, both MDC
-/// backends' lookup paths, (via [`POLICY_TRAIT`]) every replacement
-/// policy callback, and the daemon's two always-on loops — the frame
-/// decoder fed by untrusted peers and the worker supervisor that must
-/// survive every crash it is supervising.
+/// Hot-path roots for PANIC-002: the metadata engine's one entry point
+/// (every simulated LLC event goes through it), both MDC backends' lookup
+/// paths, (via [`POLICY_TRAIT`]) every replacement policy callback, and
+/// the daemon's two always-on loops — the frame decoder fed by untrusted
+/// peers and the worker supervisor that must survive every crash it is
+/// supervising.
 const PANIC_ROOTS: [(&str, &str); 5] = [
-    ("MetadataEngine", "handle_batch_with"),
+    ("MetadataEngine", "handle_batch"),
     ("SetAssocCache", "scan_set"),
     ("RandomizedCache", "access"),
     ("FrameReader", "next_frame"),
@@ -45,7 +46,7 @@ const POLICY_TRAIT: &str = "Policy";
 
 /// ALLOC-001 root: the batch kernel entry point. Everything it reaches
 /// must stay allocation-free to protect the batched-replay ns/event wins.
-const ALLOC_ROOTS: [(&str, &str); 1] = [("MetadataEngine", "handle_batch_with")];
+const ALLOC_ROOTS: [(&str, &str); 1] = [("MetadataEngine", "handle_batch")];
 
 /// Crates whose reachable code ALLOC-001 holds allocation-free. The
 /// oracle is deliberately excluded: it is the naive-by-design reference

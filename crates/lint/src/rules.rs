@@ -4,7 +4,7 @@
 //! |-----------|--------------------------------------------------------------------|
 //! | DET-001   | No default-hasher `HashMap`/`HashSet` in deterministic crates      |
 //! | DET-002   | No wall clock / ambient randomness outside `maps-obs`/`maps-bench` |
-//! | PERF-001  | Every `MetricSink`/`MetaObserver`/`BatchPrefetcher` impl method carries `#[inline]` |
+//! | PERF-001  | Every `MetricSink`/`MetaObserver` impl method carries `#[inline]`  |
 //! | SAFE-001  | `unsafe` only when allowlisted and `// SAFETY:`-annotated          |
 //! | PANIC-001 | No `unwrap`/`expect` in library decode/parse paths                 |
 //! | IO-001    | Result files only via the atomic-write helper in `maps-obs`        |
@@ -323,7 +323,7 @@ fn perf_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
         let watched = is_trait_impl
             && trait_path
                 .iter()
-                .any(|id| *id == "MetricSink" || *id == "MetaObserver" || *id == "BatchPrefetcher");
+                .any(|id| *id == "MetricSink" || *id == "MetaObserver");
         if !watched {
             i += 1;
             continue;

@@ -6,7 +6,7 @@ pub struct MetadataEngine {
 }
 
 impl MetadataEngine {
-    pub fn handle_batch_with(&mut self, keys: &[u64]) -> u64 {
+    pub fn handle_batch(&mut self, keys: &[u64]) -> u64 {
         let mut acc = 0;
         for &k in keys {
             acc += self.cache.scan_set(k);

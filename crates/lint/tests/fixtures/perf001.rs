@@ -1,7 +1,7 @@
-//! PERF-001 fixture: sink/observer/prefetcher impl methods without
-//! `#[inline]`. Linted under `crates/sim/src/fixture.rs`; findings
-//! expected at lines 13, 30, and 34 only — inlined methods, inherent
-//! impls, and impls that merely *bound* on the traits are all clean.
+//! PERF-001 fixture: sink/observer impl methods without `#[inline]`.
+//! Linted under `crates/sim/src/fixture.rs`; findings expected at lines
+//! 13 and 30 only — inlined methods, inherent impls, and impls that
+//! merely *bound* on the traits are all clean.
 
 pub struct Probe;
 pub struct Holder<S>(S);
@@ -28,8 +28,4 @@ impl<S: MetricSink> Holder<S> {
 
 impl MetricSink for Probe {
     fn counter_add(&mut self, _name: &str, _delta: u64) {}
-}
-
-impl BatchPrefetcher for Probe {
-    fn prefetch(&self, _engine: &MetadataEngine, _event: MemEvent) {}
 }

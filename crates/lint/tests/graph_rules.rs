@@ -76,7 +76,7 @@ fn graphws_chains_are_exact() {
     // Qualified call through the `use SetAssocCache as Mdc` rename.
     assert_eq!(
         chain_of("PANIC-002", "crates/cache/src/backend.rs", 14),
-        ["MetadataEngine::handle_batch_with", "SetAssocCache::tag_of"]
+        ["MetadataEngine::handle_batch", "SetAssocCache::tag_of"]
     );
     // A Policy impl method is itself a root: one-element chain.
     assert_eq!(
@@ -84,7 +84,7 @@ fn graphws_chains_are_exact() {
         ["Lru::choose"]
     );
     // Free-fn hops below the kernel, shared by the panic and alloc sink.
-    let deep = ["MetadataEngine::handle_batch_with", "helper", "deep"];
+    let deep = ["MetadataEngine::handle_batch", "helper", "deep"];
     assert_eq!(chain_of("PANIC-002", "crates/sim/src/kernel.rs", 26), deep);
     assert_eq!(chain_of("ALLOC-001", "crates/sim/src/kernel.rs", 25), deep);
     // Laundering chain names both ends; message names the ambient source.
@@ -183,24 +183,29 @@ fn seeded_hot_path_unwrap_is_caught_by_panic_002() {
     );
     assert!(base.is_clean(), "{:#?}", base.diagnostics);
 
-    // Mutation: an unwrap as the first statement of the batch kernel.
+    // Mutation: an unwrap and an allocation as the first statements of
+    // the engine's entry point.
     let mut mutated = engine;
-    let at = mutated.text.find("fn handle_batch_with").unwrap();
+    let at = mutated.text.find("fn handle_batch").unwrap();
     let brace = at + mutated.text[at..].find('{').unwrap() + 1;
     mutated.text.insert_str(
         brace,
-        "\n        let _seeded: Option<u64> = None;\n        let _ = _seeded.unwrap();\n",
+        "\n        let _seeded: Option<u64> = None;\n        let _ = _seeded.unwrap();\n        \
+         let _seeded_alloc = vec![0u64];\n",
     );
     let report = lint_files(vec![mutated, report_src], &Allowlist::empty());
-    let hit = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "PANIC-002" && d.file == "crates/sim/src/engine.rs")
-        .unwrap_or_else(|| panic!("mutation not caught: {:#?}", report.diagnostics));
-    assert_eq!(
-        hit.chain.first().map(String::as_str),
-        Some("MetadataEngine::handle_batch_with")
-    );
+    for rule in ["PANIC-002", "ALLOC-001"] {
+        let hit = report
+            .diagnostics
+            .iter()
+            .find(|d| d.rule == rule && d.file == "crates/sim/src/engine.rs")
+            .unwrap_or_else(|| panic!("{rule}: mutation not caught: {:#?}", report.diagnostics));
+        assert_eq!(
+            hit.chain.first().map(String::as_str),
+            Some("MetadataEngine::handle_batch"),
+            "{rule}"
+        );
+    }
 }
 
 #[test]

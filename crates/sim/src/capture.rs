@@ -36,12 +36,12 @@
 //! assert_eq!(replayed, direct);
 //! ```
 
-use maps_trace::TenantId;
+use maps_trace::{BlockAddr, TenantId};
 use maps_workloads::Workload;
 
-use crate::engine::{MetaObserver, MetadataEngine, NullObserver};
+use crate::engine::{MetaObserver, NullObserver};
 use crate::hierarchy::{Hierarchy, HierarchyStats, MemEvent};
-use crate::sim::build_report;
+use crate::sim::Controller;
 use crate::{SimConfig, SimReport};
 
 /// The front-end parameters a capture is valid for. Replaying against a
@@ -216,7 +216,7 @@ impl CapturedTrace {
     /// Only front-end fields of `cfg` matter here; the metadata cache,
     /// DRAM, and security settings are free to differ at replay time.
     pub fn record<W: Workload>(cfg: &SimConfig, mut workload: W, accesses: u64) -> Self {
-        let warmup = (accesses as f64 * cfg.warmup_fraction) as u64;
+        let warmup = cfg.warmup_accesses(accesses);
         let mut builder = TraceBuilder::new(
             workload.name(),
             workload.footprint_bytes(),
@@ -574,28 +574,10 @@ impl Iterator for EventCursor<'_> {
     type Item = CapturedEvent;
 
     fn next(&mut self) -> Option<CapturedEvent> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // CapturedTrace streams are valid by construction: TraceBuilder
-        // only appends well-formed varints and from_bytes pre-walks the
-        // whole stream, so the trusted decoder applies here.
-        let icount_delta = read_varint_trusted(self.bytes, &mut self.pos);
-        let word = read_varint_trusted(self.bytes, &mut self.pos);
-        if word & 0b10 != 0 {
-            self.tenant = read_varint_trusted(self.bytes, &mut self.pos) as u8;
-        }
-        let delta = unzigzag(word >> 2);
-        self.prev_block = self.prev_block.wrapping_add(delta);
-        let block = maps_trace::BlockAddr::new(self.prev_block as u64);
-        let tenant = TenantId(self.tenant);
-        let event = if word & 1 == 1 {
-            MemEvent::Write(block, tenant)
-        } else {
-            MemEvent::Read(block, tenant)
-        };
-        Some(CapturedEvent {
+        let mut slot = [MemEvent::Read(BlockAddr::new(0), TenantId::HOST)];
+        let (n, icount_delta) = self.next_events(&mut slot);
+        let [event] = slot;
+        (n == 1).then_some(CapturedEvent {
             event,
             icount_delta,
         })
@@ -610,16 +592,18 @@ impl Iterator for EventCursor<'_> {
 impl EventCursor<'_> {
     /// Decodes up to `buf.len()` events into `buf` in one tight loop,
     /// returning the number decoded and the *summed* instruction-count
-    /// delta across them. This is the batched replay front end: cycle
-    /// accounting only ever adds icount deltas, so summing per batch is
-    /// bit-identical to adding per event, and decoding in bulk keeps the
-    /// varint state (position, previous block) hot in registers.
+    /// delta across them. The stream's one decoder: replay fills whole
+    /// batches, and [`Iterator::next`] a one-event slot. Cycle accounting
+    /// only ever adds icount deltas, so summing per batch is bit-identical
+    /// to adding per event, and decoding in bulk keeps the varint state
+    /// (position, previous block) hot in registers.
     pub fn next_events(&mut self, buf: &mut [MemEvent]) -> (usize, u64) {
         let n = self.remaining.min(buf.len() as u64) as usize;
         let mut icount = 0u64;
         for slot in &mut buf[..n] {
-            // Trusted decode: same valid-by-construction argument as
-            // `next` above.
+            // CapturedTrace streams are valid by construction: TraceBuilder
+            // only appends well-formed varints and from_bytes pre-walks the
+            // whole stream, so the trusted decoder applies here.
             let delta_icount = read_varint_trusted(self.bytes, &mut self.pos);
             let word = read_varint_trusted(self.bytes, &mut self.pos);
             icount += delta_icount;
@@ -628,7 +612,7 @@ impl EventCursor<'_> {
             }
             let delta = unzigzag(word >> 2);
             self.prev_block = self.prev_block.wrapping_add(delta);
-            let block = maps_trace::BlockAddr::new(self.prev_block as u64);
+            let block = BlockAddr::new(self.prev_block as u64);
             let tenant = TenantId(self.tenant);
             *slot = if word & 1 == 1 {
                 MemEvent::Write(block, tenant)
@@ -659,20 +643,19 @@ pub const DEFAULT_BATCH_EVENTS: usize = 256;
 /// One-shot: `run`/`run_observed` consume the simulator, mirroring the
 /// fresh-engine state a direct run starts from.
 ///
-/// Replay is batched by default: events are decoded [`DEFAULT_BATCH_EVENTS`]
-/// at a time into a stack buffer and driven through
-/// [`MetadataEngine::handle_batch`], which monomorphizes the per-event
-/// dispatch once per batch and software-prefetches the metadata-cache rows
-/// of upcoming events. [`run_scalar`](Self::run_scalar) keeps the original
-/// one-event-at-a-time loop as the differential reference; both paths
-/// produce bit-identical reports (`tests/differential.rs` proves it across
-/// every policy and engine mode).
+/// Events are decoded [`DEFAULT_BATCH_EVENTS`] at a time into a stack
+/// buffer and handed to the memory-side back end the direct path uses, so
+/// every event enters
+/// [`MetadataEngine::handle_batch`](crate::MetadataEngine::handle_batch),
+/// the kernel the differential oracle checks in lockstep through
+/// `SecureSim`. [`with_batch_size`](Self::with_batch_size) is the only
+/// knob; the report equals the direct run's at every batch size
+/// (`tests/differential.rs` and `replay_equivalence.rs` compare them).
 pub struct ReplaySim<'a> {
     cfg: SimConfig,
     trace: &'a CapturedTrace,
-    engine: Option<MetadataEngine>,
+    controller: Controller,
     cycles: u64,
-    insecure_dram: maps_mem::DramCounters,
     batch: usize,
 }
 
@@ -691,29 +674,12 @@ impl<'a> ReplaySim<'a> {
             trace.front_end(),
             FrontEndKey::of(&cfg),
         );
-        // Mirror SecureSim::new's protected-memory sizing, using the
-        // captured footprint in place of the live workload's.
-        let memory_bytes = cfg.memory_bytes.max(trace.footprint_bytes()).max(4096);
-        let secure_cfg = maps_secure::SecureConfig::new(
-            memory_bytes.next_multiple_of(maps_trace::PAGE_BYTES),
-            cfg.counter_mode,
-        );
-        let engine = cfg.secure.then(|| {
-            MetadataEngine::with_speculation_window(
-                secure_cfg,
-                &cfg.mdc,
-                cfg.dram.latency_cycles,
-                cfg.hash_latency,
-                cfg.speculation,
-                cfg.speculation_window,
-            )
-        });
         Self {
+            // The captured footprint stands in for the live workload's.
+            controller: Controller::new(&cfg, trace.footprint_bytes()),
             cfg,
             trace,
-            engine,
             cycles: 0,
-            insecure_dram: maps_mem::DramCounters::default(),
             batch: DEFAULT_BATCH_EVENTS,
         }
     }
@@ -737,29 +703,30 @@ impl<'a> ReplaySim<'a> {
         let warmup = self.trace.warmup_events();
         self.replay_phase(&mut cursor, warmup, &mut NullObserver);
         // The warm-up boundary: statistics reset, state persists.
-        if let Some(engine) = &mut self.engine {
-            engine.reset_stats();
-        }
+        self.controller.reset_stats();
         self.cycles = 0;
-        self.insecure_dram = maps_mem::DramCounters::default();
         let measured = cursor.remaining;
         self.replay_phase(&mut cursor, measured, obs);
         self.cycles += self.trace.tail_icount();
-        self.finish_report()
+        self.controller.report(
+            &self.cfg,
+            self.trace.workload(),
+            self.cycles,
+            self.trace.hierarchy_stats(),
+        )
     }
 
     /// Replays one phase — up to `limit` events — batch by batch. Cycle
     /// accounting is a commutative sum (icount deltas + read stalls), so
     /// adding the batch's summed icount before its stalls reproduces the
-    /// scalar interleaving bit-for-bit.
+    /// direct path's per-access interleaving bit-for-bit.
     fn replay_phase<O: MetaObserver + ?Sized>(
         &mut self,
         cursor: &mut EventCursor<'_>,
         mut limit: u64,
         obs: &mut O,
     ) {
-        let mut buf =
-            [MemEvent::Read(maps_trace::BlockAddr::new(0), TenantId::HOST); MAX_BATCH_EVENTS];
+        let mut buf = [MemEvent::Read(BlockAddr::new(0), TenantId::HOST); MAX_BATCH_EVENTS];
         while limit > 0 {
             let want = limit.min(self.batch as u64) as usize;
             let (n, icount) = cursor.next_events(&mut buf[..want]);
@@ -770,76 +737,7 @@ impl<'a> ReplaySim<'a> {
             }
             limit -= n as u64;
             self.cycles += icount;
-            match &mut self.engine {
-                Some(engine) => self.cycles += engine.handle_batch(&buf[..n], obs),
-                None => {
-                    for event in &buf[..n] {
-                        match event {
-                            MemEvent::Write(..) => self.insecure_dram.writes += 1,
-                            MemEvent::Read(..) => {
-                                self.insecure_dram.reads += 1;
-                                self.cycles += self.cfg.dram.latency_cycles;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays with the original one-event-at-a-time loop. Kept as the
-    /// differential reference for the batched path (and as the fallback
-    /// behind `MAPS_BATCH=0`).
-    pub fn run_scalar(self) -> SimReport {
-        self.run_scalar_observed(&mut NullObserver)
-    }
-
-    /// Scalar replay with an observer on the measured phase's stream.
-    pub fn run_scalar_observed<O: MetaObserver + ?Sized>(mut self, obs: &mut O) -> SimReport {
-        let mut cursor = self.trace.events();
-        // `take` rather than indexed `next().expect(…)`: a truncated
-        // capture must not panic in the replay path (PANIC-001); a short
-        // stream simply yields an empty measured window.
-        let warmup = self.trace.warmup_events() as usize;
-        for ev in cursor.by_ref().take(warmup) {
-            self.apply(ev, &mut NullObserver);
-        }
-        // The warm-up boundary: statistics reset, state persists.
-        if let Some(engine) = &mut self.engine {
-            engine.reset_stats();
-        }
-        self.cycles = 0;
-        self.insecure_dram = maps_mem::DramCounters::default();
-        for ev in cursor {
-            self.apply(ev, obs);
-        }
-        self.cycles += self.trace.tail_icount();
-        self.finish_report()
-    }
-
-    fn finish_report(self) -> SimReport {
-        build_report(
-            &self.cfg,
-            self.trace.workload(),
-            self.cycles,
-            self.trace.hierarchy_stats(),
-            self.engine.as_ref(),
-            &self.insecure_dram,
-        )
-    }
-
-    fn apply<O: MetaObserver + ?Sized>(&mut self, ev: CapturedEvent, obs: &mut O) {
-        self.cycles += ev.icount_delta;
-        match (ev.event, &mut self.engine) {
-            (MemEvent::Write(block, t), Some(engine)) => engine.handle_write_from(block, t, obs),
-            (MemEvent::Read(block, t), Some(engine)) => {
-                self.cycles += engine.handle_read_from(block, t, obs);
-            }
-            (MemEvent::Write(..), None) => self.insecure_dram.writes += 1,
-            (MemEvent::Read(..), None) => {
-                self.insecure_dram.reads += 1;
-                self.cycles += self.cfg.dram.latency_cycles;
-            }
+            self.cycles += self.controller.handle(&buf[..n], obs);
         }
     }
 }

@@ -367,6 +367,14 @@ impl SimConfig {
     pub fn secure_config(&self) -> SecureConfig {
         SecureConfig::new(self.memory_bytes, self.counter_mode)
     }
+
+    /// Warm-up accesses of an `accesses`-long run: `warmup_fraction` of
+    /// it, clamped to the run. The direct run and the capture recorder
+    /// both split here, so a fraction above 1 warms the whole run and
+    /// leaves an empty measured window on both alike.
+    pub(crate) fn warmup_accesses(&self, accesses: u64) -> u64 {
+        ((accesses as f64 * self.warmup_fraction) as u64).min(accesses)
+    }
 }
 
 #[cfg(test)]

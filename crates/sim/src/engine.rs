@@ -177,46 +177,14 @@ impl TreeWalk {
 /// being processed, the metadata-cache rows of event *i + k* are requested.
 /// Eight events at ~10 memory-level-parallel loads apiece comfortably cover
 /// an L2 miss on the one-core hosts the sweeps run on.
-pub const PREFETCH_DISTANCE: usize = 8;
-
-/// Per-batch prefetch strategy for [`MetadataEngine::handle_batch_with`].
-///
-/// The batch kernel is monomorphized over this trait, so the strategy is
-/// selected once per batch and a no-op impl compiles away entirely — the
-/// same zero-cost contract [`MetaObserver`] has, and like observer impls,
-/// implementations must be `#[inline]` (enforced by maps-lint PERF-001).
-pub trait BatchPrefetcher {
-    /// Requests the metadata lines `event` will touch, ahead of use.
-    fn prefetch(&self, engine: &MetadataEngine, event: MemEvent);
-}
-
-/// Prefetches the metadata-cache tag/timestamp rows of the counter and hash
-/// blocks the event implies (the default batch strategy).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TagPrefetcher;
-
-impl BatchPrefetcher for TagPrefetcher {
-    #[inline(always)]
-    fn prefetch(&self, engine: &MetadataEngine, event: MemEvent) {
-        engine.prefetch_event(event);
-    }
-}
-
-/// Issues no prefetches. Used by tests to prove the hint has no
-/// architectural effect, and as the strategy for non-x86 hosts' baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefetch;
-
-impl BatchPrefetcher for NoPrefetch {
-    #[inline(always)]
-    fn prefetch(&self, _engine: &MetadataEngine, _event: MemEvent) {}
-}
+const PREFETCH_DISTANCE: usize = 8;
 
 /// The metadata engine.
 ///
-/// One instance per simulated memory controller. `handle_read` and
-/// `handle_write` consume the LLC miss/writeback stream and account every
-/// implied metadata access, DRAM transfer, and stall.
+/// One instance per simulated memory controller.
+/// [`handle_batch`](Self::handle_batch) consumes the LLC miss/writeback
+/// stream and accounts every implied metadata access, DRAM transfer, and
+/// stall; it is the only way events enter the engine.
 ///
 /// # Examples
 ///
@@ -327,90 +295,52 @@ impl MetadataEngine {
 
     /// Handles an LLC demand miss for `data`, returning the core-visible
     /// stall in cycles (data fetch plus any serialized metadata work).
-    /// Attributed to [`TenantId::HOST`]; multi-tenant callers use
-    /// [`handle_read_from`](Self::handle_read_from).
+    /// Attributed to [`TenantId::HOST`]; a one-event
+    /// [`handle_batch`](Self::handle_batch).
     pub fn handle_read<O: MetaObserver + ?Sized>(&mut self, data: BlockAddr, obs: &mut O) -> u64 {
-        self.handle_read_from(data, TenantId::HOST, obs)
-    }
-
-    /// [`handle_read`](Self::handle_read) on behalf of `tenant`: every
-    /// metadata-cache access the read implies (including eviction
-    /// cascades it triggers) is booked to that tenant, requester-pays.
-    pub fn handle_read_from<O: MetaObserver + ?Sized>(
-        &mut self,
-        data: BlockAddr,
-        tenant: TenantId,
-        obs: &mut O,
-    ) -> u64 {
-        if self.mdc.is_some() {
-            self.read_event::<O, true>(data, tenant, obs)
-        } else {
-            self.read_event::<O, false>(data, tenant, obs)
-        }
+        self.handle_batch(&[MemEvent::Read(data, TenantId::HOST)], obs)
     }
 
     /// Handles an LLC dirty writeback of `data` (off the critical path:
     /// contributes traffic and energy, not stall). Attributed to
-    /// [`TenantId::HOST`].
+    /// [`TenantId::HOST`]; a one-event [`handle_batch`](Self::handle_batch).
     pub fn handle_write<O: MetaObserver + ?Sized>(&mut self, data: BlockAddr, obs: &mut O) {
-        self.handle_write_from(data, TenantId::HOST, obs);
+        self.handle_batch(&[MemEvent::Write(data, TenantId::HOST)], obs);
     }
 
-    /// [`handle_write`](Self::handle_write) on behalf of `tenant`.
-    pub fn handle_write_from<O: MetaObserver + ?Sized>(
-        &mut self,
-        data: BlockAddr,
-        tenant: TenantId,
-        obs: &mut O,
-    ) {
-        if self.mdc.is_some() {
-            self.write_event::<O, true>(data, tenant, obs);
-        } else {
-            self.write_event::<O, false>(data, tenant, obs);
-        }
-    }
-
-    /// Processes a batch of LLC events, returning the summed read stalls.
+    /// Processes LLC events in order, returning the summed demand-read
+    /// stalls. Each event's metadata-cache accesses (including eviction
+    /// cascades it triggers) are booked to the event's tenant,
+    /// requester-pays.
     ///
-    /// Bit-identical to calling [`handle_read`](Self::handle_read) /
-    /// [`handle_write`](Self::handle_write) per event and summing the read
-    /// stalls: the engine-mode dispatch (MDC on/off) is hoisted to one
+    /// The engine-mode dispatch (MDC on/off) is hoisted to one
     /// monomorphized kernel selection per batch instead of per event, and
-    /// the default [`TagPrefetcher`] warms the metadata-cache rows of event
-    /// *i +* [`PREFETCH_DISTANCE`] while event *i* is finishing.
+    /// the kernel prefetches the metadata-cache rows of upcoming events
+    /// while the current one is finishing. A batch may hold any number of
+    /// events: the direct [`SecureSim`](crate::SecureSim) path hands over
+    /// one core access's events, [`ReplaySim`](crate::ReplaySim) a decoded
+    /// batch, and the report is the same wherever batch boundaries fall.
     pub fn handle_batch<O: MetaObserver + ?Sized>(
         &mut self,
         events: &[MemEvent],
         obs: &mut O,
     ) -> u64 {
-        self.handle_batch_with(events, &TagPrefetcher, obs)
-    }
-
-    /// [`handle_batch`](Self::handle_batch) with an explicit prefetch
-    /// strategy (tests use [`NoPrefetch`] to prove hint-independence).
-    pub fn handle_batch_with<O: MetaObserver + ?Sized, PF: BatchPrefetcher>(
-        &mut self,
-        events: &[MemEvent],
-        prefetcher: &PF,
-        obs: &mut O,
-    ) -> u64 {
         if self.mdc.is_some() {
-            self.batch_kernel::<O, PF, true>(events, prefetcher, obs)
+            self.batch_kernel::<O, true>(events, obs)
         } else {
-            self.batch_kernel::<O, PF, false>(events, prefetcher, obs)
+            self.batch_kernel::<O, false>(events, obs)
         }
     }
 
-    fn batch_kernel<O: MetaObserver + ?Sized, PF: BatchPrefetcher, const HAS_MDC: bool>(
+    fn batch_kernel<O: MetaObserver + ?Sized, const HAS_MDC: bool>(
         &mut self,
         events: &[MemEvent],
-        prefetcher: &PF,
         obs: &mut O,
     ) -> u64 {
         let mut stall = 0u64;
         for (i, &event) in events.iter().enumerate() {
             if let Some(&ahead) = events.get(i + PREFETCH_DISTANCE) {
-                prefetcher.prefetch(self, ahead);
+                self.prefetch_event(ahead);
             }
             match event {
                 MemEvent::Read(block, t) => stall += self.read_event::<O, HAS_MDC>(block, t, obs),
@@ -540,8 +470,8 @@ impl MetadataEngine {
     /// Reads a metadata block through the cache; returns `true` on hit.
     ///
     /// Like every private engine kernel, monomorphized over `HAS_MDC` —
-    /// `true` iff `self.mdc` is populated (the public entry points
-    /// guarantee the match) — so per-batch dispatch erases the per-event
+    /// `true` iff `self.mdc` is populated (`handle_batch` guarantees the
+    /// match) — so per-batch dispatch erases the per-event
     /// MDC-mode branches while keeping one shared logic body.
     fn meta_read<O: MetaObserver + ?Sized, const HAS_MDC: bool>(
         &mut self,

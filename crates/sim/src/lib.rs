@@ -43,10 +43,7 @@ pub use capture::{
     ReplaySim, TraceBuilder, DEFAULT_BATCH_EVENTS, MAX_BATCH_EVENTS,
 };
 pub use config::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
-pub use engine::{
-    BatchPrefetcher, EngineStats, MetaObserver, MetadataEngine, NoPrefetch, NullObserver,
-    RecordingObserver, TagPrefetcher, PREFETCH_DISTANCE,
-};
+pub use engine::{EngineStats, MetaObserver, MetadataEngine, NullObserver, RecordingObserver};
 pub use hierarchy::{Hierarchy, HierarchyStats, MemEvent};
 pub use mdcache::MetadataCache;
 pub use probe::MetricsProbe;

@@ -1,6 +1,6 @@
 //! The end-to-end secure-memory simulation.
 
-use maps_mem::{EnergyDelay, SramModel};
+use maps_mem::{DramCounters, EnergyDelay, SramModel};
 use maps_secure::SecureConfig;
 use maps_workloads::Workload;
 
@@ -8,75 +8,163 @@ use crate::engine::{MetaObserver, MetadataEngine, NullObserver};
 use crate::hierarchy::{Hierarchy, HierarchyStats, MemEvent};
 use crate::{SimConfig, SimReport};
 
-/// Assembles the measured-window report: cycles, hierarchy counters, engine
-/// statistics, and the full energy model. Shared verbatim by the direct
-/// [`SecureSim`] path and the capture/replay path
-/// ([`ReplaySim`](crate::ReplaySim)) so the two produce bit-identical
-/// reports from identical inputs. Instructions come from the hierarchy
-/// counters — the single source of truth for retired-instruction counts.
-pub(crate) fn build_report(
-    cfg: &SimConfig,
-    workload: &str,
-    cycles: u64,
-    hierarchy: &HierarchyStats,
-    engine: Option<&MetadataEngine>,
-    insecure_dram: &maps_mem::DramCounters,
-) -> SimReport {
-    let engine_stats = engine.map(|e| *e.stats()).unwrap_or_default();
-    let mut energy = EnergyDelay::new();
-    energy.add_cycles(cycles);
+/// The memory side the direct and replay simulations share: the metadata
+/// engine when memory is secure, bare DRAM accounting for the insecure
+/// baseline. The direct [`SecureSim`] path hands it one core access's LLC
+/// events at a time and [`ReplaySim`](crate::ReplaySim) a decoded batch;
+/// either way every event enters through [`MetadataEngine::handle_batch`],
+/// and the report is assembled in one place, so the two produce
+/// bit-identical reports from identical inputs.
+pub(crate) struct Controller {
+    engine: Option<MetadataEngine>,
+    /// DRAM transfers in insecure mode (no engine to count them).
+    insecure_dram: DramCounters,
+    /// Stall of an insecure demand read: the bare DRAM fetch.
+    dram_latency: u64,
+}
 
-    // DRAM dynamic energy: every block transfer at 150 pJ/bit, plus
-    // background power over the window.
-    let dram_transfers = if engine.is_some() {
-        engine_stats.dram_total()
-    } else {
-        insecure_dram.total()
-    };
-    energy.add_dram_pj(dram_transfers as f64 * cfg.dram.block_transfer_energy_pj());
-    energy.add_static_pj(cfg.dram.background_energy_pj(cycles));
-
-    // SRAM dynamic energy per level: accesses × capacity-scaled cost.
-    let l1 = SramModel::new(cfg.l1_bytes);
-    let l2 = SramModel::new(cfg.l2_bytes);
-    let llc = SramModel::new(cfg.llc_bytes);
-    energy.add_sram_pj(hierarchy.accesses as f64 * l1.block_access_energy_pj());
-    energy.add_sram_pj(hierarchy.l1_misses as f64 * l2.block_access_energy_pj());
-    energy.add_sram_pj(hierarchy.l2_misses as f64 * llc.block_access_energy_pj());
-    energy.add_static_pj(llc.leakage_energy_pj(cycles));
-    if cfg.mdc.size_bytes > 0 && engine.is_some() {
-        let mdc = SramModel::new(cfg.mdc.size_bytes);
-        let meta_accesses = engine_stats.meta.metadata_total().accesses;
-        energy.add_sram_pj(meta_accesses as f64 * mdc.block_access_energy_pj());
-        energy.add_static_pj(mdc.leakage_energy_pj(cycles));
+impl Controller {
+    /// Builds the memory side for a workload of `footprint_bytes`:
+    /// protected memory is grown to the footprint when the configured size
+    /// is smaller.
+    pub(crate) fn new(cfg: &SimConfig, footprint_bytes: u64) -> Self {
+        let memory_bytes = cfg.memory_bytes.max(footprint_bytes).max(4096);
+        let secure_cfg = SecureConfig::new(
+            memory_bytes.next_multiple_of(maps_trace::PAGE_BYTES),
+            cfg.counter_mode,
+        );
+        let engine = cfg.secure.then(|| {
+            MetadataEngine::with_speculation_window(
+                secure_cfg,
+                &cfg.mdc,
+                cfg.dram.latency_cycles,
+                cfg.hash_latency,
+                cfg.speculation,
+                cfg.speculation_window,
+            )
+        });
+        Self {
+            engine,
+            insecure_dram: DramCounters::default(),
+            dram_latency: cfg.dram.latency_cycles,
+        }
     }
 
-    // Per-tenant breakdown: one row per tenant that touched the metadata
-    // cache, ascending by id (the table iterates in id order, so capture
-    // and direct paths serialize identical rows).
-    let tenants = engine
-        .and_then(MetadataEngine::mdc)
-        .map(|mdc| {
-            let table = mdc.tenant_stats();
-            table
-                .tenants()
-                .map(|t| crate::TenantMdcStats {
-                    tenant: t,
-                    meta: table.stats(t),
-                    occupancy: table.occupancy(t),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    /// The metadata engine (if secure memory is enabled).
+    pub(crate) fn engine(&self) -> Option<&MetadataEngine> {
+        self.engine.as_ref()
+    }
 
-    SimReport {
-        workload: workload.to_string(),
-        instructions: hierarchy.instructions,
-        cycles,
-        hierarchy: *hierarchy,
-        engine: engine_stats,
-        tenants,
-        energy,
+    /// Handles LLC events in order, returning the summed demand-read
+    /// stalls.
+    pub(crate) fn handle<O: MetaObserver + ?Sized>(
+        &mut self,
+        events: &[MemEvent],
+        obs: &mut O,
+    ) -> u64 {
+        match &mut self.engine {
+            Some(engine) => engine.handle_batch(events, obs),
+            None => {
+                let mut stall = 0;
+                for event in events {
+                    match event {
+                        MemEvent::Write(..) => self.insecure_dram.writes += 1,
+                        MemEvent::Read(..) => {
+                            self.insecure_dram.reads += 1;
+                            stall += self.dram_latency;
+                        }
+                    }
+                }
+                stall
+            }
+        }
+    }
+
+    /// Resets statistics at the warm-up boundary (cache and counter state
+    /// persist).
+    pub(crate) fn reset_stats(&mut self) {
+        if let Some(engine) = &mut self.engine {
+            engine.reset_stats();
+        }
+        self.insecure_dram = DramCounters::default();
+    }
+
+    /// Flushes the metadata cache, feeding `obs` the final writeback
+    /// stream.
+    pub(crate) fn flush<O: MetaObserver + ?Sized>(&mut self, obs: &mut O) {
+        if let Some(engine) = &mut self.engine {
+            engine.flush(obs);
+        }
+    }
+
+    /// Assembles the measured-window report: cycles, hierarchy counters,
+    /// engine statistics, and the full energy model. Instructions come from
+    /// the hierarchy counters — the single source of truth for
+    /// retired-instruction counts.
+    pub(crate) fn report(
+        &self,
+        cfg: &SimConfig,
+        workload: &str,
+        cycles: u64,
+        hierarchy: &HierarchyStats,
+    ) -> SimReport {
+        let engine = self.engine.as_ref();
+        let engine_stats = engine.map(|e| *e.stats()).unwrap_or_default();
+        let mut energy = EnergyDelay::new();
+        energy.add_cycles(cycles);
+
+        // DRAM dynamic energy: every block transfer at 150 pJ/bit, plus
+        // background power over the window.
+        let dram_transfers = if engine.is_some() {
+            engine_stats.dram_total()
+        } else {
+            self.insecure_dram.total()
+        };
+        energy.add_dram_pj(dram_transfers as f64 * cfg.dram.block_transfer_energy_pj());
+        energy.add_static_pj(cfg.dram.background_energy_pj(cycles));
+
+        // SRAM dynamic energy per level: accesses × capacity-scaled cost.
+        let l1 = SramModel::new(cfg.l1_bytes);
+        let l2 = SramModel::new(cfg.l2_bytes);
+        let llc = SramModel::new(cfg.llc_bytes);
+        energy.add_sram_pj(hierarchy.accesses as f64 * l1.block_access_energy_pj());
+        energy.add_sram_pj(hierarchy.l1_misses as f64 * l2.block_access_energy_pj());
+        energy.add_sram_pj(hierarchy.l2_misses as f64 * llc.block_access_energy_pj());
+        energy.add_static_pj(llc.leakage_energy_pj(cycles));
+        if cfg.mdc.size_bytes > 0 && engine.is_some() {
+            let mdc = SramModel::new(cfg.mdc.size_bytes);
+            let meta_accesses = engine_stats.meta.metadata_total().accesses;
+            energy.add_sram_pj(meta_accesses as f64 * mdc.block_access_energy_pj());
+            energy.add_static_pj(mdc.leakage_energy_pj(cycles));
+        }
+
+        // Per-tenant breakdown: one row per tenant that touched the
+        // metadata cache, ascending by id (the table iterates in id order,
+        // so capture and direct paths serialize identical rows).
+        let tenants = engine
+            .and_then(MetadataEngine::mdc)
+            .map(|mdc| {
+                let table = mdc.tenant_stats();
+                table
+                    .tenants()
+                    .map(|t| crate::TenantMdcStats {
+                        tenant: t,
+                        meta: table.stats(t),
+                        occupancy: table.occupancy(t),
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+
+        SimReport {
+            workload: workload.to_string(),
+            instructions: hierarchy.instructions,
+            cycles,
+            hierarchy: *hierarchy,
+            engine: engine_stats,
+            tenants,
+            energy,
+        }
     }
 }
 
@@ -101,40 +189,22 @@ pub struct SecureSim<W> {
     cfg: SimConfig,
     workload: W,
     hierarchy: Hierarchy,
-    engine: Option<MetadataEngine>,
+    controller: Controller,
     cycles: u64,
     events: Vec<MemEvent>,
-    /// DRAM transfers in insecure mode (no engine to count them).
-    insecure_dram: maps_mem::DramCounters,
 }
 
 impl<W: Workload> SecureSim<W> {
     /// Builds a simulation; protected memory is automatically grown to the
     /// workload's footprint when the configured size is smaller.
     pub fn new(cfg: SimConfig, workload: W) -> Self {
-        let memory_bytes = cfg.memory_bytes.max(workload.footprint_bytes()).max(4096);
-        let secure_cfg = SecureConfig::new(
-            memory_bytes.next_multiple_of(maps_trace::PAGE_BYTES),
-            cfg.counter_mode,
-        );
-        let engine = cfg.secure.then(|| {
-            MetadataEngine::with_speculation_window(
-                secure_cfg,
-                &cfg.mdc,
-                cfg.dram.latency_cycles,
-                cfg.hash_latency,
-                cfg.speculation,
-                cfg.speculation_window,
-            )
-        });
         Self {
             hierarchy: Hierarchy::new(&cfg),
-            engine,
+            controller: Controller::new(&cfg, workload.footprint_bytes()),
             cfg,
             workload,
             cycles: 0,
             events: Vec::with_capacity(8),
-            insecure_dram: maps_mem::DramCounters::default(),
         }
     }
 
@@ -145,7 +215,7 @@ impl<W: Workload> SecureSim<W> {
 
     /// The metadata engine (if secure memory is enabled).
     pub fn engine(&self) -> Option<&MetadataEngine> {
-        self.engine.as_ref()
+        self.controller.engine()
     }
 
     /// Executes one core access outside [`SecureSim::run`]'s
@@ -165,9 +235,7 @@ impl<W: Workload> SecureSim<W> {
     /// Flushes the metadata engine's cache, feeding `obs` the final
     /// writeback stream (differential lockstep hook).
     pub fn flush_observed<O: MetaObserver + ?Sized>(&mut self, obs: &mut O) {
-        if let Some(engine) = &mut self.engine {
-            engine.flush(obs);
-        }
+        self.controller.flush(obs);
     }
 
     /// Hierarchy statistics so far (differential lockstep hook).
@@ -186,15 +254,22 @@ impl<W: Workload> SecureSim<W> {
         accesses: u64,
         obs: &mut O,
     ) -> SimReport {
-        let warmup = (accesses as f64 * self.cfg.warmup_fraction) as u64;
+        let warmup = self.cfg.warmup_accesses(accesses);
         for _ in 0..warmup {
             self.step(&mut NullObserver);
         }
-        self.reset_stats();
+        self.hierarchy.reset_stats();
+        self.controller.reset_stats();
+        self.cycles = 0;
         for _ in warmup..accesses {
             self.step(obs);
         }
-        self.report()
+        self.controller.report(
+            &self.cfg,
+            self.workload.name(),
+            self.cycles,
+            self.hierarchy.stats(),
+        )
     }
 
     /// Executes one core access.
@@ -206,44 +281,7 @@ impl<W: Workload> SecureSim<W> {
             .access_from(&access, tenant, &mut self.events);
         // Writebacks first (they are buffered off the critical path),
         // then the demand read contributes its stall.
-        let events = std::mem::take(&mut self.events);
-        for event in &events {
-            match (event, &mut self.engine) {
-                (MemEvent::Write(block, t), Some(engine)) => {
-                    engine.handle_write_from(*block, *t, obs)
-                }
-                (MemEvent::Read(block, t), Some(engine)) => {
-                    self.cycles += engine.handle_read_from(*block, *t, obs);
-                }
-                (MemEvent::Write(..), None) => self.insecure_dram.writes += 1,
-                (MemEvent::Read(..), None) => {
-                    self.insecure_dram.reads += 1;
-                    self.cycles += self.cfg.dram.latency_cycles;
-                }
-            }
-        }
-        self.events = events;
-    }
-
-    fn reset_stats(&mut self) {
-        self.hierarchy.reset_stats();
-        if let Some(engine) = &mut self.engine {
-            engine.reset_stats();
-        }
-        self.cycles = 0;
-        self.insecure_dram = maps_mem::DramCounters::default();
-    }
-
-    /// Builds the report for the measured window.
-    fn report(&self) -> SimReport {
-        build_report(
-            &self.cfg,
-            self.workload.name(),
-            self.cycles,
-            self.hierarchy.stats(),
-            self.engine.as_ref(),
-            &self.insecure_dram,
-        )
+        self.cycles += self.controller.handle(&self.events, obs);
     }
 }
 

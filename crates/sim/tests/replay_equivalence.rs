@@ -73,9 +73,13 @@ fn sgx_counter_mode_matches() {
 
 #[test]
 fn zero_warmup_matches() {
-    let mut cfg = SimConfig::paper_default();
-    cfg.warmup_fraction = 0.0;
-    assert_equivalent(&cfg, "no-warmup");
+    // The edges of the warm-up split: none, the whole run, and a fraction
+    // above 1, which both paths clamp to the whole run.
+    for fraction in [0.0, 1.0, 1.5] {
+        let mut cfg = SimConfig::paper_default();
+        cfg.warmup_fraction = fraction;
+        assert_equivalent(&cfg, &format!("warmup-{fraction}"));
+    }
 }
 
 #[test]
@@ -108,52 +112,28 @@ fn one_capture_serves_many_backends() {
 #[test]
 fn observed_replay_sees_identical_metadata_stream() {
     let cfg = SimConfig::paper_default();
-    let mut direct_rec = RecordingObserver::new();
-    SecureSim::new(cfg.clone(), Benchmark::Libquantum.build(SEED))
-        .run_observed(ACCESSES, &mut direct_rec);
-    let trace = CapturedTrace::record(&cfg, Benchmark::Libquantum.build(SEED), ACCESSES);
-    let mut replay_rec = RecordingObserver::new();
-    ReplaySim::new(cfg, &trace).run_observed(&mut replay_rec);
-    assert_eq!(direct_rec.records, replay_rec.records);
-}
-
-#[test]
-fn scalar_replay_matches_direct() {
-    // `run()` above exercises the batched engine; the scalar reference
-    // loop must independently reproduce the direct simulation too, so
-    // batched ≡ scalar ≡ direct forms a closed triangle.
-    let cfg = SimConfig::paper_default();
-    for bench in BENCHES {
-        let d = direct(&cfg, bench);
+    for bench in [Benchmark::Libquantum, Benchmark::Gups] {
+        let mut direct_rec = RecordingObserver::new();
+        SecureSim::new(cfg.clone(), bench.build(SEED)).run_observed(ACCESSES, &mut direct_rec);
         let trace = CapturedTrace::record(&cfg, bench.build(SEED), ACCESSES);
-        let s = ReplaySim::new(cfg.clone(), &trace).run_scalar();
-        assert_eq!(d, s, "{bench}: scalar replay diverged from direct");
+        let mut replay_rec = RecordingObserver::new();
+        ReplaySim::new(cfg.clone(), &trace).run_observed(&mut replay_rec);
+        assert_eq!(direct_rec.records, replay_rec.records, "{bench}");
     }
 }
 
 #[test]
-fn every_batch_size_matches_scalar() {
+fn every_batch_size_matches_direct() {
     // Equivalence must hold wherever batch boundaries fall, including
     // size 1 (degenerate), sizes around the default, the maximum, and an
     // out-of-range request (clamped to the maximum).
     let cfg = SimConfig::paper_default();
     let trace = CapturedTrace::record(&cfg, Benchmark::Mcf.build(SEED), ACCESSES);
-    let scalar = ReplaySim::new(cfg.clone(), &trace).run_scalar();
+    let reference = direct(&cfg, Benchmark::Mcf);
     for batch in [1usize, 2, 7, 64, 255, 256, 257, 511, 512, usize::MAX] {
         let b = ReplaySim::new(cfg.clone(), &trace)
             .with_batch_size(batch)
             .run();
-        assert_eq!(b, scalar, "batch size {batch} diverged from scalar");
+        assert_eq!(b, reference, "batch size {batch} diverged from direct");
     }
-}
-
-#[test]
-fn scalar_observed_sees_identical_metadata_stream() {
-    let cfg = SimConfig::paper_default();
-    let trace = CapturedTrace::record(&cfg, Benchmark::Gups.build(SEED), ACCESSES);
-    let mut batched_rec = RecordingObserver::new();
-    ReplaySim::new(cfg.clone(), &trace).run_observed(&mut batched_rec);
-    let mut scalar_rec = RecordingObserver::new();
-    ReplaySim::new(cfg, &trace).run_scalar_observed(&mut scalar_rec);
-    assert_eq!(batched_rec.records, scalar_rec.records);
 }

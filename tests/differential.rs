@@ -10,10 +10,13 @@
 //! dumped as a replayable artifact under `results/failures/` (see
 //! `maps_oracle::diff`).
 //!
-//! A second differential axis lives here too: the batched SoA replay
-//! engine vs the scalar reference loop, across the same policy × mode
-//! matrix and the adversarial storm generators at batch sizes chosen to
-//! straddle cascade and overflow bursts.
+//! `SecureSim` hands each core access's LLC events to
+//! `MetadataEngine::handle_batch`, the same kernel capture replay runs, so
+//! the lockstep checks the kernel every sweep uses. A second differential
+//! axis lives here too: capture replay vs the direct `SecureSim` run of the
+//! same workload, across the same policy × mode matrix and the adversarial
+//! storm generators at batch sizes chosen to straddle cascade and overflow
+//! bursts.
 
 use maps_cache::Partition;
 use maps_oracle::diff::{
@@ -22,9 +25,9 @@ use maps_oracle::diff::{
 use maps_secure::CounterMode;
 use maps_sim::{
     CacheContents, CapturedTrace, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, ReplaySim,
-    SimConfig,
+    SecureSim, SimConfig, DEFAULT_BATCH_EVENTS,
 };
-use maps_workloads::{Benchmark, CascadeDeepGen, OverflowHeavyGen, PartitionBoundaryGen};
+use maps_workloads::{Benchmark, CascadeDeepGen, OverflowHeavyGen, PartitionBoundaryGen, Workload};
 
 /// Small hierarchy + small MDC so conflict misses, evictions, and cascades
 /// happen within short traces.
@@ -320,15 +323,27 @@ fn benchmark_profile_trace() {
     );
 }
 
-/// Asserts the batched SoA replay reproduces the scalar reference loop
-/// bit-for-bit — full [`maps_sim::SimReport`] equality, cycles included.
-fn batched_vs_scalar(label: &str, cfg: &SimConfig, trace: &CapturedTrace) {
-    let scalar = ReplaySim::new(cfg.clone(), trace).run_scalar();
-    let batched = ReplaySim::new(cfg.clone(), trace).run();
-    assert_eq!(
-        batched, scalar,
-        "{label}: batched replay diverged from scalar"
-    );
+/// Asserts replaying `trace` at every batch size in `batches` reproduces
+/// the direct `SecureSim` run of `workload` (the workload `trace` was
+/// recorded from) bit-for-bit — full [`maps_sim::SimReport`] equality,
+/// cycles included.
+fn replay_matches_direct<W: Workload>(
+    label: &str,
+    cfg: &SimConfig,
+    trace: &CapturedTrace,
+    workload: W,
+    batches: &[usize],
+) {
+    let direct = SecureSim::new(cfg.clone(), workload).run(trace.accesses());
+    for &batch in batches {
+        let replayed = ReplaySim::new(cfg.clone(), trace)
+            .with_batch_size(batch)
+            .run();
+        assert_eq!(
+            replayed, direct,
+            "{label}: replay at batch size {batch} diverged from direct"
+        );
+    }
 }
 
 #[test]
@@ -338,7 +353,11 @@ fn batched_replay_every_policy_and_mode() {
     // and the insecure baseline.
     let accesses = scaled_len(4_000) as u64;
     let base = base_cfg();
-    let trace = CapturedTrace::record(&base, Benchmark::Gups.build(0xBA7C), accesses);
+    let workload = || Benchmark::Gups.build(0xBA7C);
+    let trace = CapturedTrace::record(&base, workload(), accesses);
+    let check = |label: &str, cfg: &SimConfig| {
+        replay_matches_direct(label, cfg, &trace, workload(), &[DEFAULT_BATCH_EVENTS]);
+    };
     for (i, policy) in all_policies().into_iter().enumerate() {
         for (mode, tag) in [
             (CounterMode::SplitPi, "pi"),
@@ -347,38 +366,33 @@ fn batched_replay_every_policy_and_mode() {
             let mut cfg = base.clone();
             cfg.mdc.policy = policy.clone();
             cfg.counter_mode = mode;
-            let label = format!("batch-{}-{}-{}", i, policy.name(), tag);
-            batched_vs_scalar(&label, &cfg, &trace);
+            check(&format!("batch-{}-{}-{}", i, policy.name(), tag), &cfg);
         }
     }
     let mut off = base.clone();
     off.mdc = MdcConfig::disabled();
-    batched_vs_scalar("batch-mdc-off", &off, &trace);
+    check("batch-mdc-off", &off);
     let mut insecure = base.clone();
     insecure.secure = false;
     insecure.mdc = MdcConfig::disabled();
-    batched_vs_scalar("batch-insecure", &insecure, &trace);
+    check("batch-insecure", &insecure);
 }
 
 #[test]
 fn batched_replay_boundary_straddling_storms() {
     // Overflow re-encryption bursts and deep BMT cascades must not care
     // where a batch boundary falls: every batch size — including ones
-    // guaranteed to split a cascade mid-storm — reproduces the scalar
+    // guaranteed to split a cascade mid-storm — reproduces the direct
     // report exactly.
     let accesses = scaled_len(3_000) as u64;
     let base = base_cfg();
-    let overflow = CapturedTrace::record(&base, OverflowHeavyGen::new(11, 4, 2), accesses);
-    let cascade = CapturedTrace::record(&base, CascadeDeepGen::new(12, 64, 4), accesses);
-    for (label, trace) in [("overflow", &overflow), ("cascade", &cascade)] {
-        let scalar = ReplaySim::new(base.clone(), trace).run_scalar();
-        for batch in [1usize, 3, 8, 255, 256, 511, 512] {
-            let batched = ReplaySim::new(base.clone(), trace)
-                .with_batch_size(batch)
-                .run();
-            assert_eq!(batched, scalar, "storm-{label} at batch size {batch}");
-        }
-    }
+    let batches = [1usize, 3, 8, 255, 256, 511, 512];
+    let overflow = || OverflowHeavyGen::new(11, 4, 2);
+    let cascade = || CascadeDeepGen::new(12, 64, 4);
+    let trace = CapturedTrace::record(&base, overflow(), accesses);
+    replay_matches_direct("storm-overflow", &base, &trace, overflow(), &batches);
+    let trace = CapturedTrace::record(&base, cascade(), accesses);
+    replay_matches_direct("storm-cascade", &base, &trace, cascade(), &batches);
 }
 
 #[test]

@@ -131,7 +131,7 @@ proptest! {
     }
 
     #[test]
-    fn batched_replay_matches_scalar_at_any_batch_size(
+    fn batched_replay_matches_direct_at_any_batch_size(
         accesses in prop::collection::vec((0u16..1024, any::<bool>()), 20..120),
         batch in 1usize..=512,
         mdc_size in prop::sample::select(vec![0u64, 2048, 65536]),
@@ -145,11 +145,11 @@ proptest! {
             cfg.counter_mode = CounterMode::SgxMonolithic;
         }
         let trace = CapturedTrace::record(&cfg, workload_from(&accesses), n);
-        let scalar = ReplaySim::new(cfg.clone(), &trace).run_scalar();
+        let direct = SecureSim::new(cfg.clone(), workload_from(&accesses)).run(n);
         let batched = ReplaySim::new(cfg, &trace).with_batch_size(batch).run();
         prop_assert_eq!(
-            batched, scalar,
-            "batched replay (batch={}) diverged from scalar", batch
+            batched, direct,
+            "batched replay (batch={}) diverged from direct", batch
         );
     }
 
