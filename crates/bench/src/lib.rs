@@ -36,7 +36,7 @@ pub use fingerprint::point_fingerprint;
 pub use host::{exec_job, FigureHost, JobKind, PlanHost, SimJob, SweepHost};
 pub use queue::{panic_text, Farm, FarmStats};
 pub use retry::RetryPolicy;
-pub use wire::{job_from_json, job_to_json, WireError};
+pub use wire::{job_from_json, job_to_json};
 
 /// Number of core accesses per run: `MAPS_ACCESSES` or the given default.
 pub fn n_accesses(default: u64) -> u64 {

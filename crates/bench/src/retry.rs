@@ -14,16 +14,7 @@
 use std::time::Duration;
 
 use maps_obs::fingerprint64;
-
-/// SplitMix64 finalizer — the same diffusion step the checkpoint
-/// fingerprint and the inject campaigns use (kept local: `maps_obs`
-/// exposes only the string-level [`fingerprint64`]).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use maps_trace::rng::SplitMix64;
 
 /// `MAPS_POINT_RETRIES`: bounded extra attempts for a failing point.
 fn retries_from_env() -> u32 {
@@ -78,9 +69,9 @@ impl RetryPolicy {
 
     /// The delay before retry number `attempt` (1-based) of the point
     /// named `key`: `base · 2^(attempt−1)` capped at `cap`, scaled by a
-    /// jitter factor in `[0.5, 1.0)` derived from
-    /// `mix64(seed ⊕ fingerprint(key) ⊕ attempt)`. Pure — same inputs,
-    /// same delay, on every machine.
+    /// jitter factor in `[0.5, 1.0)` derived from the SplitMix64 finalizer
+    /// of `seed ⊕ fingerprint(key) ⊕ attempt`. Pure — same inputs, same
+    /// delay, on every machine.
     pub fn delay(&self, key: &str, attempt: u32) -> Duration {
         if attempt == 0 {
             return Duration::ZERO;
@@ -90,7 +81,7 @@ impl RetryPolicy {
             .checked_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
             .unwrap_or(self.cap)
             .min(self.cap);
-        let r = mix64(self.seed ^ fingerprint64(key) ^ u64::from(attempt));
+        let r = SplitMix64::new(self.seed ^ fingerprint64(key) ^ u64::from(attempt)).next_u64();
         // Top 53 bits → uniform in [0, 1); fold into [0.5, 1.0).
         let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
         let jitter = 0.5 + unit / 2.0;

@@ -9,7 +9,7 @@
 //! share a fingerprint, and a worker reconstructs the configuration
 //! *exactly*. Floats travel as raw IEEE-754 bits (`f64::to_bits`, the
 //! `SimReport` discipline), and every malformed document decodes to a
-//! typed [`WireError`], never a panic, because the daemon feeds this
+//! typed [`CodecError`], never a panic, because the daemon feeds this
 //! decoder bytes that crossed a socket.
 //!
 //! Field coverage is checked by the compiler: each encoder destructures
@@ -26,80 +26,12 @@
 //! their names.
 
 use maps_mem::DramModel;
-use maps_obs::Json;
+use maps_obs::{CodecError, Json};
 use maps_secure::CounterMode;
 use maps_sim::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
 use maps_workloads::Benchmark;
 
 use crate::host::{JobKind, SimJob};
-
-/// Why a job document could not be encoded or decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// A required field is absent.
-    Missing(&'static str),
-    /// A field is present but malformed; the payload says why.
-    Invalid {
-        /// Dotted path of the offending field.
-        field: &'static str,
-        /// What was wrong with it.
-        why: String,
-    },
-    /// The value cannot travel by design (MIN oracle traces).
-    Unsupported(String),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Missing(field) => write!(f, "job document is missing '{field}'"),
-            WireError::Invalid { field, why } => write!(f, "job field '{field}' invalid: {why}"),
-            WireError::Unsupported(what) => write!(f, "not wire-encodable: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn get<'a>(obj: &'a Json, field: &'static str) -> Result<&'a Json, WireError> {
-    obj.get(field).ok_or(WireError::Missing(field))
-}
-
-fn get_u64(obj: &Json, field: &'static str) -> Result<u64, WireError> {
-    get(obj, field)?.as_u64().ok_or(WireError::Invalid {
-        field,
-        why: "expected an unsigned integer".into(),
-    })
-}
-
-fn get_usize(obj: &Json, field: &'static str) -> Result<usize, WireError> {
-    usize::try_from(get_u64(obj, field)?).map_err(|_| WireError::Invalid {
-        field,
-        why: "does not fit in usize".into(),
-    })
-}
-
-fn get_bool(obj: &Json, field: &'static str) -> Result<bool, WireError> {
-    match get(obj, field)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(WireError::Invalid {
-            field,
-            why: "expected a boolean".into(),
-        }),
-    }
-}
-
-fn get_str<'a>(obj: &'a Json, field: &'static str) -> Result<&'a str, WireError> {
-    get(obj, field)?.as_str().ok_or(WireError::Invalid {
-        field,
-        why: "expected a string".into(),
-    })
-}
-
-/// Floats travel as raw IEEE-754 bits so text round-trips are exact.
-fn get_f64_bits(obj: &Json, field: &'static str) -> Result<f64, WireError> {
-    Ok(f64::from_bits(get_u64(obj, field)?))
-}
 
 fn f64_bits(v: f64) -> Json {
     Json::UInt(v.to_bits())
@@ -124,23 +56,23 @@ fn policy_to_json(policy: &PolicyChoice) -> Json {
     Json::Obj(fields)
 }
 
-fn policy_from_json(doc: &Json) -> Result<PolicyChoice, WireError> {
-    let name = get_str(doc, "name")?;
+fn policy_from_json(doc: &Json) -> Result<PolicyChoice, CodecError> {
+    let name = doc.str_field("name")?;
     Ok(match name {
         "pseudo-lru" => PolicyChoice::PseudoLru,
         "true-lru" => PolicyChoice::TrueLru,
         "fifo" => PolicyChoice::Fifo,
-        "random" => PolicyChoice::Random(get_u64(doc, "seed")?),
+        "random" => PolicyChoice::Random(doc.u64_field("seed")?),
         "srrip" => PolicyChoice::Srrip,
         "eva" => PolicyChoice::Eva,
-        "cost-aware" => PolicyChoice::CostAware(get_u64(doc, "cost")?),
+        "cost-aware" => PolicyChoice::CostAware(doc.u64_field("cost")?),
         "drrip" => PolicyChoice::Drrip,
         "eva-per-type" => PolicyChoice::EvaPerType,
         other => {
-            return Err(WireError::Invalid {
-                field: "cfg.mdc.policy.name",
-                why: format!("unknown or non-wire policy '{other}'"),
-            })
+            return Err(CodecError::invalid(
+                "cfg.mdc.policy.name",
+                format!("unknown or non-wire policy '{other}'"),
+            ))
         }
     })
 }
@@ -187,42 +119,40 @@ fn partition_ways(
     counter_ways: usize,
     ways: usize,
     field: &'static str,
-) -> Result<maps_cache::Partition, WireError> {
-    maps_cache::Partition::new(counter_ways, ways).map_err(|e| WireError::Invalid {
-        field,
-        why: e.to_string(),
-    })
+) -> Result<maps_cache::Partition, CodecError> {
+    maps_cache::Partition::new(counter_ways, ways)
+        .map_err(|e| CodecError::invalid(field, e.to_string()))
 }
 
-fn partition_from_json(doc: &Json, ways: usize) -> Result<PartitionMode, WireError> {
-    Ok(match get_str(doc, "mode")? {
+fn partition_from_json(doc: &Json, ways: usize) -> Result<PartitionMode, CodecError> {
+    Ok(match doc.str_field("mode")? {
         "none" => PartitionMode::None,
         "static" => PartitionMode::Static(partition_ways(
-            get_usize(doc, "counter_ways")?,
+            doc.usize_field("counter_ways")?,
             ways,
             "cfg.mdc.partition.counter_ways",
         )?),
         "dynamic" => PartitionMode::Dynamic {
             a: partition_ways(
-                get_usize(doc, "a_counter_ways")?,
+                doc.usize_field("a_counter_ways")?,
                 ways,
                 "cfg.mdc.partition.a_counter_ways",
             )?,
             b: partition_ways(
-                get_usize(doc, "b_counter_ways")?,
+                doc.usize_field("b_counter_ways")?,
                 ways,
                 "cfg.mdc.partition.b_counter_ways",
             )?,
-            leaders_per_side: get_usize(doc, "leaders_per_side")?,
+            leaders_per_side: doc.usize_field("leaders_per_side")?,
         },
         "per-tenant" => PartitionMode::PerTenant {
-            tenants: get_usize(doc, "tenants")?,
+            tenants: doc.usize_field("tenants")?,
         },
         other => {
-            return Err(WireError::Invalid {
-                field: "cfg.mdc.partition.mode",
-                why: format!("unknown mode '{other}'"),
-            })
+            return Err(CodecError::invalid(
+                "cfg.mdc.partition.mode",
+                format!("unknown mode '{other}'"),
+            ))
         }
     })
 }
@@ -236,17 +166,17 @@ fn design_to_json(design: &MdcDesign) -> Json {
     Json::Obj(fields)
 }
 
-fn design_from_json(doc: &Json) -> Result<MdcDesign, WireError> {
-    Ok(match get_str(doc, "kind")? {
+fn design_from_json(doc: &Json) -> Result<MdcDesign, CodecError> {
+    Ok(match doc.str_field("kind")? {
         "set-assoc" => MdcDesign::SetAssoc,
         "randomized" => MdcDesign::Randomized {
-            seed: get_u64(doc, "seed")?,
+            seed: doc.u64_field("seed")?,
         },
         other => {
-            return Err(WireError::Invalid {
-                field: "cfg.mdc.design.kind",
-                why: format!("unknown kind '{other}'"),
-            })
+            return Err(CodecError::invalid(
+                "cfg.mdc.design.kind",
+                format!("unknown kind '{other}'"),
+            ))
         }
     })
 }
@@ -345,56 +275,56 @@ pub(crate) fn config_to_json(cfg: &SimConfig) -> Json {
     ])
 }
 
-fn config_from_json(doc: &Json) -> Result<SimConfig, WireError> {
-    let mdc_doc = get(doc, "mdc")?;
-    let contents_doc = get(mdc_doc, "contents")?;
+fn config_from_json(doc: &Json) -> Result<SimConfig, CodecError> {
+    let mdc_doc = doc.field("mdc")?;
+    let contents_doc = mdc_doc.field("contents")?;
     let contents = CacheContents {
-        counters: get_bool(contents_doc, "counters")?,
-        hashes: get_bool(contents_doc, "hashes")?,
-        tree: get_bool(contents_doc, "tree")?,
+        counters: contents_doc.bool_field("counters")?,
+        hashes: contents_doc.bool_field("hashes")?,
+        tree: contents_doc.bool_field("tree")?,
     };
-    let ways = get_usize(mdc_doc, "ways")?;
+    let ways = mdc_doc.usize_field("ways")?;
     let mdc = MdcConfig {
-        size_bytes: get_u64(mdc_doc, "size_bytes")?,
+        size_bytes: mdc_doc.u64_field("size_bytes")?,
         ways,
         contents,
-        policy: policy_from_json(get(mdc_doc, "policy")?)?,
-        partition: partition_from_json(get(mdc_doc, "partition")?, ways)?,
-        partial_writes: get_bool(mdc_doc, "partial_writes")?,
-        design: design_from_json(get(mdc_doc, "design")?)?,
+        policy: policy_from_json(mdc_doc.field("policy")?)?,
+        partition: partition_from_json(mdc_doc.field("partition")?, ways)?,
+        partial_writes: mdc_doc.bool_field("partial_writes")?,
+        design: design_from_json(mdc_doc.field("design")?)?,
     };
-    let counter_mode = match get_str(doc, "counter_mode")? {
+    let counter_mode = match doc.str_field("counter_mode")? {
         "split-pi" => CounterMode::SplitPi,
         "sgx-monolithic" => CounterMode::SgxMonolithic,
         other => {
-            return Err(WireError::Invalid {
-                field: "cfg.counter_mode",
-                why: format!("unknown mode '{other}'"),
-            })
+            return Err(CodecError::invalid(
+                "cfg.counter_mode",
+                format!("unknown mode '{other}'"),
+            ))
         }
     };
-    let dram_doc = get(doc, "dram")?;
+    let dram_doc = doc.field("dram")?;
     let dram = DramModel {
-        latency_cycles: get_u64(dram_doc, "latency_cycles")?,
-        energy_per_bit_pj: get_f64_bits(dram_doc, "energy_per_bit_pj_bits")?,
-        background_pj_per_cycle: get_f64_bits(dram_doc, "background_pj_per_cycle_bits")?,
+        latency_cycles: dram_doc.u64_field("latency_cycles")?,
+        energy_per_bit_pj: dram_doc.f64_bits_field("energy_per_bit_pj_bits")?,
+        background_pj_per_cycle: dram_doc.f64_bits_field("background_pj_per_cycle_bits")?,
     };
     Ok(SimConfig {
-        l1_bytes: get_u64(doc, "l1_bytes")?,
-        l1_ways: get_usize(doc, "l1_ways")?,
-        l2_bytes: get_u64(doc, "l2_bytes")?,
-        l2_ways: get_usize(doc, "l2_ways")?,
-        llc_bytes: get_u64(doc, "llc_bytes")?,
-        llc_ways: get_usize(doc, "llc_ways")?,
-        memory_bytes: get_u64(doc, "memory_bytes")?,
+        l1_bytes: doc.u64_field("l1_bytes")?,
+        l1_ways: doc.usize_field("l1_ways")?,
+        l2_bytes: doc.u64_field("l2_bytes")?,
+        l2_ways: doc.usize_field("l2_ways")?,
+        llc_bytes: doc.u64_field("llc_bytes")?,
+        llc_ways: doc.usize_field("llc_ways")?,
+        memory_bytes: doc.u64_field("memory_bytes")?,
         counter_mode,
         mdc,
         dram,
-        hash_latency: get_u64(doc, "hash_latency")?,
-        speculation: get_bool(doc, "speculation")?,
-        speculation_window: get_u64(doc, "speculation_window")?,
-        secure: get_bool(doc, "secure")?,
-        warmup_fraction: get_f64_bits(doc, "warmup_fraction_bits")?,
+        hash_latency: doc.u64_field("hash_latency")?,
+        speculation: doc.bool_field("speculation")?,
+        speculation_window: doc.u64_field("speculation_window")?,
+        secure: doc.bool_field("secure")?,
+        warmup_fraction: doc.f64_bits_field("warmup_fraction_bits")?,
     })
 }
 
@@ -413,33 +343,33 @@ fn kind_to_json(kind: &JobKind) -> Json {
     }
 }
 
-fn kind_from_json(doc: &Json) -> Result<JobKind, WireError> {
-    Ok(match get_str(doc, "tag")? {
+fn kind_from_json(doc: &Json) -> Result<JobKind, CodecError> {
+    Ok(match doc.str_field("tag")? {
         "replay" => JobKind::Replay,
         "min" => JobKind::Min,
         "iter-min" => JobKind::IterMin {
-            iterations: get_usize(doc, "iterations")?,
+            iterations: doc.usize_field("iterations")?,
         },
         "occupancy" => JobKind::Occupancy {
-            victim_pages: get_u64(doc, "victim_pages")?,
+            victim_pages: doc.u64_field("victim_pages")?,
         },
         other => {
-            return Err(WireError::Invalid {
-                field: "kind.tag",
-                why: format!("unknown tag '{other}'"),
-            })
+            return Err(CodecError::invalid(
+                "kind.tag",
+                format!("unknown tag '{other}'"),
+            ))
         }
     })
 }
 
 /// Encodes a job for the worker wire. Lossless for every job the farm
 /// plans; [`PolicyChoice::Min`]/[`PolicyChoice::TraceMin`] configurations
-/// are rejected with [`WireError::Unsupported`].
+/// are rejected with [`CodecError::Unsupported`].
 ///
 /// # Errors
 ///
-/// [`WireError::Unsupported`] for oracle-bearing policies.
-pub fn job_to_json(job: &SimJob) -> Result<Json, WireError> {
+/// [`CodecError::Unsupported`] for oracle-bearing policies.
+pub fn job_to_json(job: &SimJob) -> Result<Json, CodecError> {
     let SimJob {
         key,
         cfg,
@@ -452,7 +382,7 @@ pub fn job_to_json(job: &SimJob) -> Result<Json, WireError> {
         cfg.mdc.policy,
         PolicyChoice::Min(_) | PolicyChoice::TraceMin(_)
     ) {
-        return Err(WireError::Unsupported(format!(
+        return Err(CodecError::Unsupported(format!(
             "policy '{}' embeds an oracle trace; MIN points ship as JobKind::Min and \
              rebuild the oracle worker-side",
             cfg.mdc.policy.name()
@@ -470,24 +400,22 @@ pub fn job_to_json(job: &SimJob) -> Result<Json, WireError> {
 
 /// Decodes a job from the worker wire. Total: every malformed document —
 /// wrong types, missing fields, unknown names, invalid partitions — is a
-/// typed [`WireError`], never a panic.
+/// typed [`CodecError`], never a panic.
 ///
 /// # Errors
 ///
-/// See [`WireError`].
-pub fn job_from_json(doc: &Json) -> Result<SimJob, WireError> {
-    let bench_name = get_str(doc, "bench")?;
-    let bench = Benchmark::from_name(bench_name).ok_or_else(|| WireError::Invalid {
-        field: "bench",
-        why: format!("unknown benchmark '{bench_name}'"),
-    })?;
+/// See [`CodecError`].
+pub fn job_from_json(doc: &Json) -> Result<SimJob, CodecError> {
+    let bench_name = doc.str_field("bench")?;
+    let bench = Benchmark::from_name(bench_name)
+        .ok_or_else(|| CodecError::invalid("bench", format!("unknown benchmark '{bench_name}'")))?;
     Ok(SimJob {
-        key: get_str(doc, "key")?.to_string(),
-        cfg: config_from_json(get(doc, "cfg")?)?,
+        key: doc.str_field("key")?.to_string(),
+        cfg: config_from_json(doc.field("cfg")?)?,
         bench,
-        seed: get_u64(doc, "seed")?,
-        accesses: get_u64(doc, "accesses")?,
-        kind: kind_from_json(get(doc, "kind")?)?,
+        seed: doc.u64_field("seed")?,
+        accesses: doc.u64_field("accesses")?,
+        kind: kind_from_json(doc.field("kind")?)?,
     })
 }
 
@@ -621,7 +549,7 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.mdc = cfg.mdc.with_policy(PolicyChoice::Min(vec![1, 2, 3]));
         let job = SimJob::replay("min", cfg, Benchmark::Gups, 100);
-        assert!(matches!(job_to_json(&job), Err(WireError::Unsupported(_))));
+        assert!(matches!(job_to_json(&job), Err(CodecError::Unsupported(_))));
     }
 
     #[test]
@@ -629,10 +557,10 @@ mod tests {
         let job = SimJob::replay("ok", SimConfig::paper_default(), Benchmark::Gups, 100);
         let good = job_to_json(&job).unwrap();
 
-        assert_eq!(
-            job_from_json(&Json::Null).unwrap_err(),
-            WireError::Missing("bench")
-        );
+        assert!(matches!(
+            job_from_json(&Json::Null),
+            Err(CodecError::Missing("bench"))
+        ));
 
         // Wrong type in a scalar field.
         let mut doc = good.clone();
@@ -645,7 +573,7 @@ mod tests {
         }
         assert!(matches!(
             job_from_json(&doc),
-            Err(WireError::Invalid { field: "seed", .. })
+            Err(CodecError::Invalid { field: "seed", .. })
         ));
 
         // Unknown benchmark.
@@ -659,7 +587,7 @@ mod tests {
         }
         assert!(matches!(
             job_from_json(&doc),
-            Err(WireError::Invalid { field: "bench", .. })
+            Err(CodecError::Invalid { field: "bench", .. })
         ));
 
         // A MIN policy: the configuration encoding names it but drops its
@@ -676,7 +604,7 @@ mod tests {
         }
         assert!(matches!(
             job_from_json(&doc),
-            Err(WireError::Invalid {
+            Err(CodecError::Invalid {
                 field: "cfg.mdc.policy.name",
                 ..
             })

@@ -18,7 +18,7 @@ use std::path::Path;
 
 use maps_bench::figures::FigureDef;
 use maps_bench::{point_fingerprint, PlanHost, SimJob};
-use maps_obs::{fingerprint64, git_describe, Json};
+use maps_obs::{fingerprint64, git_describe, CodecError, Json};
 use maps_trace::DetHashSet;
 
 use crate::supervision::Supervision;
@@ -298,124 +298,59 @@ pub struct CampaignDoc {
 pub fn load_campaign(path: &Path) -> Result<CampaignDoc, FarmError> {
     let shown = path.display().to_string();
     let text = std::fs::read_to_string(path).map_err(|e| FarmError::io(&shown, e))?;
-    let doc = Json::parse(&text).map_err(|e| FarmError::parse(&shown, e.to_string()))?;
-    let field = |what: &str| FarmError::parse(&shown, format!("missing or mistyped {what}"));
+    Json::parse(&text)
+        .map_err(CodecError::from)
+        .and_then(|doc| campaign_from_json(&doc))
+        .map_err(|e| FarmError::parse(&shown, e.to_string()))
+}
 
-    match doc.get("schema_version").and_then(Json::as_u64) {
-        Some(v) if v == CAMPAIGN_SCHEMA_VERSION => {}
-        Some(v) => {
-            return Err(FarmError::parse(
-                &shown,
-                format!("unsupported schema_version {v} (expected {CAMPAIGN_SCHEMA_VERSION})"),
-            ))
-        }
-        None => return Err(field("schema_version")),
+fn campaign_from_json(doc: &Json) -> Result<CampaignDoc, CodecError> {
+    doc.check_version("schema_version", CAMPAIGN_SCHEMA_VERSION)?;
+    if doc.str_field("kind")? != CAMPAIGN_KIND {
+        return Err(CodecError::invalid(
+            "kind",
+            format!("expected '{CAMPAIGN_KIND}'"),
+        ));
     }
-    if doc.get("kind").and_then(Json::as_str) != Some(CAMPAIGN_KIND) {
-        return Err(field("kind marker"));
-    }
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| field("name"))?
-        .to_string();
-    let git = doc
-        .get("git")
-        .and_then(Json::as_str)
-        .ok_or_else(|| field("git"))?
-        .to_string();
-    let identity_fingerprint = doc
-        .get("identity_fingerprint")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| field("identity_fingerprint"))?;
-
     let mut figures = Vec::new();
-    let Some(Json::Arr(figure_docs)) = doc.get("figures") else {
-        return Err(field("figures"));
-    };
-    for f in figure_docs {
-        let fig_name = f
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("figure name"))?
-            .to_string();
-        let dynamic = matches!(f.get("dynamic"), Some(Json::Bool(true)));
-        let accesses = f
-            .get("accesses")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| field("figure accesses"))?;
+    for f in doc.arr_field("figures")? {
         let mut phases = Vec::new();
-        let Some(Json::Arr(phase_docs)) = f.get("phases") else {
-            return Err(field("figure phases"));
-        };
-        for p in phase_docs {
-            let phase = p
-                .get("phase")
-                .and_then(Json::as_str)
-                .ok_or_else(|| field("phase name"))?
-                .to_string();
-            let n = p
-                .get("points")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field("phase points"))?;
-            phases.push((phase, n as usize));
+        for p in f.arr_field("phases")? {
+            phases.push((p.str_field("phase")?.to_string(), p.usize_field("points")?));
         }
         figures.push(PlannedFigure {
-            name: fig_name,
-            dynamic,
-            accesses,
+            name: f.str_field("name")?.to_string(),
+            dynamic: matches!(f.get("dynamic"), Some(Json::Bool(true))),
+            accesses: f.u64_field("accesses")?,
             phases,
         });
     }
-
     let mut points = Vec::new();
-    let Some(Json::Arr(point_docs)) = doc.get("points") else {
-        return Err(field("points"));
-    };
-    for p in point_docs {
-        let hex = p
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("point fingerprint"))?;
-        let fingerprint = u64::from_str_radix(hex, 16)
-            .map_err(|_| FarmError::parse(&shown, format!("bad point fingerprint {hex:?}")))?;
-        let figure = p
-            .get("figure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("point figure"))?
-            .to_string();
-        let phase = p
-            .get("phase")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("point phase"))?
-            .to_string();
-        let key = p
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("point key"))?
-            .to_string();
-        points.push((fingerprint, figure, phase, key));
+    for p in doc.arr_field("points")? {
+        let hex = p.str_field("fingerprint")?;
+        let fingerprint = u64::from_str_radix(hex, 16).map_err(|_| {
+            CodecError::invalid("fingerprint", format!("bad point fingerprint {hex:?}"))
+        })?;
+        points.push((
+            fingerprint,
+            p.str_field("figure")?.to_string(),
+            p.str_field("phase")?.to_string(),
+            p.str_field("key")?.to_string(),
+        ));
     }
-
-    let stats = doc.get("stats").ok_or_else(|| field("stats"))?;
-    let total_jobs = stats
-        .get("total_jobs")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| field("stats total_jobs"))?;
-    let capture_keys = stats
-        .get("capture_keys")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| field("stats capture_keys"))?;
-
+    let stats = doc.obj_field("stats")?;
     Ok(CampaignDoc {
-        name,
-        git,
-        identity_fingerprint,
+        name: doc.str_field("name")?.to_string(),
+        git: doc.str_field("git")?.to_string(),
+        identity_fingerprint: doc.u64_field("identity_fingerprint")?,
         figures,
         points,
-        total_jobs,
-        capture_keys,
-        supervision: doc.get("supervision").and_then(Supervision::from_json),
+        total_jobs: stats.u64_field("total_jobs")?,
+        capture_keys: stats.u64_field("capture_keys")?,
+        // The block is advisory: a malformed one is ignored, not fatal.
+        supervision: doc
+            .get("supervision")
+            .and_then(|block| Supervision::from_json(block).ok()),
     })
 }
 
@@ -479,7 +414,7 @@ mod tests {
             ("{\"schema_version\": 99}", "unsupported schema_version"),
             (
                 "{\"schema_version\": 1, \"kind\": \"other\"}",
-                "kind marker",
+                "field 'kind' invalid",
             ),
         ] {
             std::fs::write(&path, body).expect("write");

@@ -39,10 +39,10 @@ use std::time::Duration;
 
 use maps_bench::figures::{drive, figure, FigureDef};
 use maps_bench::{Farm, FigureHost, SimJob};
-use maps_obs::Json;
+use maps_obs::{CodecError, Json};
 use maps_sim::SimReport;
 
-use crate::proto::{send, Frame, FrameReader, ProtoError};
+use crate::proto::{send, Frame, FrameReader};
 use crate::run::write_plan;
 use crate::supervision::Supervision;
 use crate::FarmError;
@@ -568,7 +568,7 @@ enum Outcome {
 /// What the reader thread forwards off a worker's stdout.
 enum WorkerMsg {
     Frame(Frame),
-    Malformed(ProtoError),
+    Malformed(CodecError),
     Eof,
 }
 

@@ -50,7 +50,7 @@ pub use campaign::{
 };
 pub use client::StreamOutcome;
 pub use daemon::{serve, DaemonConfig};
-pub use proto::{Frame, FrameReader, ProtoError, PROTO_VERSION};
+pub use proto::{Frame, FrameReader, PROTO_VERSION};
 pub use run::{run_campaign, write_plan, RunSummary};
 pub use status::{campaign_status, CampaignStatus};
 pub use supervision::Supervision;

@@ -5,7 +5,7 @@
 //! over their stdin/stdout pipes. Every message is one length-prefixed
 //! [`maps_obs::frame`] whose payload is a `{"proto": 1, "type": …}`
 //! object; [`Frame::from_json`] is total — any unknown type, wrong
-//! version, or mistyped field decodes to a typed [`ProtoError`], never a
+//! version, or mistyped field decodes to a typed [`CodecError`], never a
 //! panic — because both ends feed it bytes from a peer that may have been
 //! SIGKILLed mid-write or replaced by a fault injector.
 //!
@@ -24,74 +24,12 @@
 //! connection can [`Frame::Attach`] with `since` and resume the stream
 //! without gaps or duplicates.
 
-use maps_bench::{job_from_json, job_to_json, SimJob, WireError};
-use maps_obs::{FrameError, Json};
+use maps_bench::{job_from_json, job_to_json, SimJob};
+use maps_obs::{CodecError, Json};
 use maps_sim::SimReport;
 
 /// Semantic protocol version carried in every frame payload.
 pub const PROTO_VERSION: u64 = 1;
-
-/// Why a protocol message could not be read or built.
-#[derive(Debug)]
-pub enum ProtoError {
-    /// The byte-level frame was torn, oversized, or unparseable.
-    Frame(FrameError),
-    /// The peer speaks a different protocol version.
-    Version {
-        /// The version the peer sent.
-        got: u64,
-    },
-    /// The frame type is not one this end understands.
-    UnknownType(String),
-    /// A required field is absent.
-    Missing(&'static str),
-    /// A field is present but malformed.
-    Invalid {
-        /// Dotted path of the offending field.
-        field: &'static str,
-        /// What was wrong with it.
-        why: String,
-    },
-    /// An embedded job failed the [`maps_bench::wire`] codec.
-    Wire(WireError),
-    /// An embedded report failed the `SimReport` codec.
-    Report(String),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Frame(e) => write!(f, "{e}"),
-            ProtoError::Version { got } => {
-                write!(
-                    f,
-                    "peer speaks proto {got}, this end speaks {PROTO_VERSION}"
-                )
-            }
-            ProtoError::UnknownType(t) => write!(f, "unknown frame type '{t}'"),
-            ProtoError::Missing(field) => write!(f, "frame is missing '{field}'"),
-            ProtoError::Invalid { field, why } => write!(f, "frame field '{field}' invalid: {why}"),
-            ProtoError::Wire(e) => write!(f, "embedded job: {e}"),
-            ProtoError::Report(why) => write!(f, "embedded report: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProtoError::Frame(e) => Some(e),
-            ProtoError::Wire(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FrameError> for ProtoError {
-    fn from(e: FrameError) -> Self {
-        ProtoError::Frame(e)
-    }
-}
 
 /// One protocol message.
 #[derive(Debug)]
@@ -180,34 +118,6 @@ pub enum Frame {
     Exit,
 }
 
-fn get<'a>(doc: &'a Json, field: &'static str) -> Result<&'a Json, ProtoError> {
-    doc.get(field).ok_or(ProtoError::Missing(field))
-}
-
-fn get_u64(doc: &Json, field: &'static str) -> Result<u64, ProtoError> {
-    get(doc, field)?.as_u64().ok_or(ProtoError::Invalid {
-        field,
-        why: "expected an unsigned integer".into(),
-    })
-}
-
-fn get_str<'a>(doc: &'a Json, field: &'static str) -> Result<&'a str, ProtoError> {
-    get(doc, field)?.as_str().ok_or(ProtoError::Invalid {
-        field,
-        why: "expected a string".into(),
-    })
-}
-
-fn get_bool(doc: &Json, field: &'static str) -> Result<bool, ProtoError> {
-    match get(doc, field)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(ProtoError::Invalid {
-            field,
-            why: "expected a boolean".into(),
-        }),
-    }
-}
-
 fn obj(ty: &str, mut fields: Vec<(String, Json)>) -> Json {
     let mut all = vec![
         ("proto".to_string(), Json::UInt(PROTO_VERSION)),
@@ -222,9 +132,9 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Wire`] when a [`Frame::Job`] embeds a job the wire
-    /// codec refuses (oracle-bearing policies).
-    pub fn to_json(&self) -> Result<Json, ProtoError> {
+    /// [`CodecError::Unsupported`] when a [`Frame::Job`] embeds a job the
+    /// wire codec refuses (oracle-bearing policies).
+    pub fn to_json(&self) -> Result<Json, CodecError> {
         Ok(match self {
             Frame::Submit {
                 campaign,
@@ -286,7 +196,7 @@ impl Frame {
                 "job",
                 vec![
                     ("id".into(), Json::UInt(*id)),
-                    ("job".into(), job_to_json(job).map_err(ProtoError::Wire)?),
+                    ("job".into(), job_to_json(job)?),
                 ],
             ),
             Frame::JobResult { id, report } => obj(
@@ -309,92 +219,78 @@ impl Frame {
     }
 
     /// Decodes a frame payload. Total: every malformed document is a
-    /// typed [`ProtoError`].
+    /// typed [`CodecError`].
     ///
     /// # Errors
     ///
-    /// See [`ProtoError`].
-    pub fn from_json(doc: &Json) -> Result<Self, ProtoError> {
-        let got = get_u64(doc, "proto")?;
-        if got != PROTO_VERSION {
-            return Err(ProtoError::Version { got });
-        }
-        Ok(match get_str(doc, "type")? {
-            "submit" => {
-                let figures_doc = get(doc, "figures")?;
-                let figures = match figures_doc {
-                    Json::Arr(items) => {
-                        let mut names = Vec::with_capacity(items.len());
-                        for item in items {
-                            names.push(
-                                item.as_str()
-                                    .ok_or(ProtoError::Invalid {
-                                        field: "figures",
-                                        why: "expected an array of strings".into(),
-                                    })?
-                                    .to_string(),
-                            );
-                        }
-                        names
-                    }
-                    _ => {
-                        return Err(ProtoError::Invalid {
-                            field: "figures",
-                            why: "expected an array".into(),
+    /// [`CodecError::Version`] for another `proto` version,
+    /// [`CodecError::Invalid`] (field `type`) for an unknown frame type,
+    /// [`CodecError::Missing`]/[`CodecError::Invalid`] for absent or
+    /// mistyped fields, and the embedded job and report codecs' errors
+    /// unchanged.
+    pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
+        doc.check_version("proto", PROTO_VERSION)?;
+        Ok(match doc.str_field("type")? {
+            "submit" => Frame::Submit {
+                campaign: doc.str_field("campaign")?.to_string(),
+                dir: doc.str_field("dir")?.to_string(),
+                figures: doc
+                    .arr_field("figures")?
+                    .iter()
+                    .map(|item| {
+                        item.as_str().map(str::to_string).ok_or_else(|| {
+                            CodecError::invalid("figures", "expected an array of strings")
                         })
-                    }
-                };
-                Frame::Submit {
-                    campaign: get_str(doc, "campaign")?.to_string(),
-                    dir: get_str(doc, "dir")?.to_string(),
-                    figures,
-                    accesses: get_u64(doc, "accesses")?,
-                    workers: get_u64(doc, "workers")?,
-                }
-            }
+                    })
+                    .collect::<Result<_, _>>()?,
+                accesses: doc.u64_field("accesses")?,
+                workers: doc.u64_field("workers")?,
+            },
             "attach" => Frame::Attach {
-                campaign: get_str(doc, "campaign")?.to_string(),
-                since: get_u64(doc, "since")?,
+                campaign: doc.str_field("campaign")?.to_string(),
+                since: doc.u64_field("since")?,
             },
             "status" => Frame::Status {
-                campaign: get_str(doc, "campaign")?.to_string(),
+                campaign: doc.str_field("campaign")?.to_string(),
             },
             "accepted" => Frame::Accepted {
-                campaign: get_str(doc, "campaign")?.to_string(),
-                resumed: get_bool(doc, "resumed")?,
+                campaign: doc.str_field("campaign")?.to_string(),
+                resumed: doc.bool_field("resumed")?,
             },
             "event" => Frame::Event {
-                seq: get_u64(doc, "seq")?,
-                what: get_str(doc, "what")?.to_string(),
-                detail: get_str(doc, "detail")?.to_string(),
+                seq: doc.u64_field("seq")?,
+                what: doc.str_field("what")?.to_string(),
+                detail: doc.str_field("detail")?.to_string(),
             },
             "done" => Frame::Done {
-                ok: get_bool(doc, "ok")?,
-                message: get_str(doc, "message")?.to_string(),
+                ok: doc.bool_field("ok")?,
+                message: doc.str_field("message")?.to_string(),
             },
             "reject" => Frame::Reject {
-                message: get_str(doc, "message")?.to_string(),
+                message: doc.str_field("message")?.to_string(),
             },
             "job" => Frame::Job {
-                id: get_u64(doc, "id")?,
-                job: Box::new(job_from_json(get(doc, "job")?).map_err(ProtoError::Wire)?),
+                id: doc.u64_field("id")?,
+                job: Box::new(job_from_json(doc.field("job")?)?),
             },
             "job-result" => Frame::JobResult {
-                id: get_u64(doc, "id")?,
-                report: Box::new(
-                    SimReport::from_json(get(doc, "report")?)
-                        .map_err(|e| ProtoError::Report(e.to_string()))?,
-                ),
+                id: doc.u64_field("id")?,
+                report: Box::new(SimReport::from_json(doc.field("report")?)?),
             },
             "job-error" => Frame::JobError {
-                id: get_u64(doc, "id")?,
-                message: get_str(doc, "message")?.to_string(),
+                id: doc.u64_field("id")?,
+                message: doc.str_field("message")?.to_string(),
             },
             "heartbeat" => Frame::Heartbeat {
-                id: get_u64(doc, "id")?,
+                id: doc.u64_field("id")?,
             },
             "exit" => Frame::Exit,
-            other => return Err(ProtoError::UnknownType(other.to_string())),
+            other => {
+                return Err(CodecError::invalid(
+                    "type",
+                    format!("unknown frame type '{other}'"),
+                ))
+            }
         })
     }
 }
@@ -419,13 +315,13 @@ impl<R: std::io::Read> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// [`ProtoError`] for every torn, corrupt, unversioned, or
-    /// unknown-typed input.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        match maps_obs::read_frame(&mut self.inner) {
-            Ok(None) => Ok(None),
-            Ok(Some(doc)) => Frame::from_json(&doc).map(Some),
-            Err(e) => Err(ProtoError::Frame(e)),
+    /// [`CodecError`] for every torn, corrupt, unversioned, or
+    /// unknown-typed input: [`maps_obs::read_frame`]'s errors, then
+    /// [`Frame::from_json`]'s.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, CodecError> {
+        match maps_obs::read_frame(&mut self.inner)? {
+            Some(doc) => Frame::from_json(&doc).map(Some),
+            None => Ok(None),
         }
     }
 }
@@ -434,11 +330,11 @@ impl<R: std::io::Read> FrameReader<R> {
 ///
 /// # Errors
 ///
-/// [`ProtoError::Wire`] for unencodable jobs, [`ProtoError::Frame`] for
-/// I/O failures.
-pub fn send<W: std::io::Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
+/// [`CodecError::Unsupported`] for unencodable jobs, [`CodecError::Io`]
+/// for I/O failures.
+pub fn send<W: std::io::Write>(w: &mut W, frame: &Frame) -> Result<(), CodecError> {
     let doc = frame.to_json()?;
-    maps_obs::write_frame(w, &doc).map_err(|e| ProtoError::Frame(FrameError::Io(e)))
+    Ok(maps_obs::write_frame(w, &doc)?)
 }
 
 #[cfg(test)]
@@ -522,7 +418,11 @@ mod tests {
         ]);
         assert!(matches!(
             Frame::from_json(&doc),
-            Err(ProtoError::Version { got: 99 })
+            Err(CodecError::Version {
+                field: "proto",
+                got: 99,
+                expected: PROTO_VERSION
+            })
         ));
         let doc = Json::Obj(vec![
             ("proto".into(), Json::UInt(PROTO_VERSION)),
@@ -530,11 +430,11 @@ mod tests {
         ]);
         assert!(matches!(
             Frame::from_json(&doc),
-            Err(ProtoError::UnknownType(t)) if t == "teleport"
+            Err(CodecError::Invalid { field: "type", why }) if why.contains("'teleport'")
         ));
         assert!(matches!(
             Frame::from_json(&Json::Null),
-            Err(ProtoError::Missing("proto"))
+            Err(CodecError::Missing("proto"))
         ));
     }
 
@@ -546,9 +446,6 @@ mod tests {
         let err = FrameReader::new(&buf[..])
             .next_frame()
             .expect_err("torn frame");
-        assert!(matches!(
-            err,
-            ProtoError::Frame(FrameError::Truncated { .. })
-        ));
+        assert!(matches!(err, CodecError::Truncated { .. }));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! A `maps-farmd` campaign appends this block to `campaign.json` when it
 //! settles, and `maps-farm status` renders it. The block is advisory —
-//! absent for in-process (`maps-farm run`) campaigns and ignored when
-//! malformed. The encoder destructures the struct and the decoder builds
-//! it with a full literal, so a counter added without a key fails to
-//! build.
+//! absent for in-process (`maps-farm run`) campaigns, and ignored by
+//! `load_campaign` when it fails to decode. The encoder destructures the
+//! struct and the decoder builds it with a full literal, so a counter
+//! added without a key fails to build.
 
-use maps_obs::Json;
+use maps_obs::{CodecError, Json};
 
 /// Counters a daemon run exports into `campaign.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,15 +49,19 @@ impl Supervision {
         ])
     }
 
-    /// Decodes a counter block; `None` for anything mistyped (the block
-    /// is advisory — a malformed one is ignored, not fatal).
-    pub fn from_json(doc: &Json) -> Option<Self> {
-        Some(Supervision {
-            respawns: doc.get("respawns")?.as_u64()?,
-            retries: doc.get("retries")?.as_u64()?,
-            quarantined: doc.get("quarantined")?.as_u64()?,
-            heartbeat_misses: doc.get("heartbeat_misses")?.as_u64()?,
-            client_reconnects: doc.get("client_reconnects")?.as_u64()?,
+    /// Decodes a counter block.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Missing`] or [`CodecError::Invalid`] for an absent
+    /// or mistyped counter.
+    pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
+        Ok(Supervision {
+            respawns: doc.u64_field("respawns")?,
+            retries: doc.u64_field("retries")?,
+            quarantined: doc.u64_field("quarantined")?,
+            heartbeat_misses: doc.u64_field("heartbeat_misses")?,
+            client_reconnects: doc.u64_field("client_reconnects")?,
         })
     }
 }
@@ -75,22 +79,27 @@ mod tests {
             heartbeat_misses: 2,
             client_reconnects: 4,
         };
-        assert_eq!(Supervision::from_json(&sup.to_json()), Some(sup));
+        assert_eq!(Supervision::from_json(&sup.to_json()).ok(), Some(sup));
         // The campaign.json block byte for byte: key names and order are
         // part of the document format.
         assert_eq!(
             sup.to_json().to_compact(),
             r#"{"respawns":3,"retries":7,"quarantined":1,"heartbeat_misses":2,"client_reconnects":4}"#
         );
-        assert_eq!(Supervision::from_json(&Json::Null), None);
+        assert!(matches!(
+            Supervision::from_json(&Json::Null),
+            Err(CodecError::Missing("respawns"))
+        ));
         let Json::Obj(mut fields) = sup.to_json() else {
             panic!("supervision encodes as an object");
         };
         fields.retain(|(k, _)| k != "retries");
-        assert_eq!(
-            Supervision::from_json(&Json::Obj(fields)),
-            None,
-            "a dropped counter is a decode miss, not a default"
+        assert!(
+            matches!(
+                Supervision::from_json(&Json::Obj(fields)),
+                Err(CodecError::Missing("retries"))
+            ),
+            "a dropped counter is a decode error, not a default"
         );
     }
 }

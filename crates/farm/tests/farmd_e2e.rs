@@ -2,7 +2,8 @@
 //! with injected worker faults must produce artifacts byte-identical to
 //! the standalone figure path, quarantine unrecoverable points in a typed
 //! report, resume across a daemon crash from `campaign.ckpt`, and stream
-//! a gapless event sequence to clients that detach and re-attach.
+//! a gapless event sequence to clients that detach and re-attach; a
+//! hostile request frame must be refused without taking the daemon down.
 //!
 //! Each test spawns its own daemon on its own socket in its own temp
 //! directory, so the scenarios are independent. The standalone reference
@@ -10,6 +11,7 @@
 //! `MAPS_DETERMINISTIC`), but every test sets the *same* values, so the
 //! shared-environment race between parallel tests is harmless.
 
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -18,6 +20,7 @@ use std::time::{Duration, Instant};
 use maps_bench::figures::figure;
 use maps_bench::RunContext;
 use maps_farm::proto::{send, Frame, FrameReader};
+use maps_obs::FRAME_MAGIC;
 
 const ACCESSES: &str = "800";
 
@@ -462,5 +465,43 @@ fn detached_client_reattaches_without_event_loss() {
         "the re-attach was counted: {sup:?}"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request nesting 10,000 arrays deep would overflow the JSON parser's
+/// stack on the connection thread, which aborts the whole daemon; it must
+/// be refused like any other malformed request, and the daemon must keep
+/// answering.
+#[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
+    let dir = tmp_dir("deep-request");
+    let socket = dir.join("farmd.sock");
+    let _daemon = spawn_daemon(&socket, &[]);
+
+    let payload = [b'['; 10_000];
+    let mut frame = FRAME_MAGIC.to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(&frame).expect("hostile frame");
+    match FrameReader::new(stream).next_frame() {
+        Ok(Some(Frame::Reject { message })) => assert!(message.contains("nesting"), "{message}"),
+        other => panic!("expected a reject, got {other:?}"),
+    }
+
+    let mut stream = UnixStream::connect(&socket).expect("daemon still listening");
+    send(
+        &mut stream,
+        &Frame::Status {
+            campaign: "absent".to_string(),
+        },
+    )
+    .expect("status frame");
+    match FrameReader::new(stream).next_frame() {
+        Ok(Some(Frame::Reject { message })) => {
+            assert!(message.contains("unknown campaign"), "{message}")
+        }
+        other => panic!("expected a reject, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 
 use maps_obs::{Checkpoint, Json, Manifest};
 use maps_sim::{CapturedTrace, SecureSim, SimConfig};
-use maps_trace::rng::SmallRng;
+use maps_trace::rng::{SmallRng, SplitMix64};
 use maps_workloads::Benchmark;
 
 use crate::farmd::{run_farmd_trial, FarmdFaultClass, FarmdOutcome};
@@ -249,14 +249,6 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-/// SplitMix64 finalizer (fingerprint folding).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The artifacts the infrastructure plane corrupts, built once per
 /// campaign from deterministic inputs.
 fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
@@ -274,8 +266,16 @@ fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
         )]));
     // Volatile fields would make artifact *lengths* (and so the seeded
     // fault offsets) time-dependent; the campaign is a pure function of
-    // (spec, seed).
+    // (spec, seed). The git revision is volatile too (a clean hash and a
+    // `…-dirty` describe differ in length), so the artifact records what
+    // `git_describe` reports outside a checkout.
     manifest.strip_volatile();
+    let mut manifest_doc = manifest.to_json();
+    if let Json::Obj(fields) = &mut manifest_doc {
+        for (_, git) in fields.iter_mut().filter(|(key, _)| key == "git") {
+            *git = Json::Str("unknown".to_string());
+        }
+    }
 
     let mut ckpt = Checkpoint::new(
         "inject-artifact",
@@ -286,7 +286,7 @@ fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
 
     vec![
         Artifact::capture(&trace),
-        Artifact::manifest(&manifest),
+        Artifact::manifest(&manifest_doc),
         Artifact::checkpoint(&ckpt),
         Artifact::report(&report),
     ]
@@ -296,7 +296,7 @@ fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
 /// all trials drawing from one seeded stream.
 pub fn run_campaign(spec: &CampaignSpec, seed: u64) -> CampaignReport {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut fingerprint = mix(seed ^ 0x494E_4A45_4354_0001);
+    let mut fingerprint = SplitMix64::new(seed ^ 0x494E_4A45_4354_0001).next_u64();
 
     let mut model = Vec::new();
     for class in ModelFaultClass::ALL {
@@ -310,7 +310,7 @@ pub fn run_campaign(spec: &CampaignSpec, seed: u64) -> CampaignReport {
             let out = run_model_trial(class, spec.mem_bytes, i as usize, &mut rng);
             report.detected += u32::from(out.detected);
             report.localized += u32::from(out.localized);
-            fingerprint = mix(fingerprint ^ out.code);
+            fingerprint = SplitMix64::new(fingerprint ^ out.code).next_u64();
         }
         model.push(report);
     }
@@ -335,7 +335,7 @@ pub fn run_campaign(spec: &CampaignSpec, seed: u64) -> CampaignReport {
                 InfraOutcome::SilentCorruption => report.silent += 1,
                 InfraOutcome::Panicked => report.panics += 1,
             }
-            fingerprint = mix(fingerprint ^ out.code);
+            fingerprint = SplitMix64::new(fingerprint ^ out.code).next_u64();
         }
         infra.push(report);
     }
@@ -360,7 +360,7 @@ pub fn run_campaign(spec: &CampaignSpec, seed: u64) -> CampaignReport {
                 FarmdOutcome::Panicked => report.panics += 1,
             }
             report.acceptable += u32::from(out.acceptable());
-            fingerprint = mix(fingerprint ^ out.code);
+            fingerprint = SplitMix64::new(fingerprint ^ out.code).next_u64();
         }
         farmd.push(report);
     }
@@ -390,6 +390,17 @@ mod tests {
             a.fingerprint, c.fingerprint,
             "different seeds must not collide"
         );
+    }
+
+    #[test]
+    fn artifact_manifest_does_not_depend_on_the_checkout() {
+        let artifacts = build_artifacts(&SMOKE, 5);
+        let manifest = artifacts
+            .iter()
+            .find(|a| a.name == "manifest")
+            .expect("manifest artifact");
+        let doc = Json::parse(std::str::from_utf8(&manifest.bytes).unwrap()).unwrap();
+        assert_eq!(doc.get("git"), Some(&Json::Str("unknown".to_string())));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The daemon's whole robustness story rests on one contract: every byte
 //! sequence fed to the frame decoder yields a **typed** result — a
 //! decoded frame, a clean end-of-stream at a frame boundary, or a
-//! [`ProtoError`] — never a panic and never a bogus frame. The
+//! [`maps_obs::CodecError`] — never a panic and never a bogus frame. The
 //! supervisor's recovery machinery (respawn, requeue, quarantine) and the
 //! client's reconnect loop both dispatch on exactly those outcomes, so a
 //! decoder that panicked or mis-decoded would turn a crashed worker into
@@ -105,10 +105,8 @@ impl FarmdFaultClass {
 /// How the frame decoder handled the faulted stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FarmdOutcome {
-    /// The faulted portion was rejected with a typed [`ProtoError`] —
+    /// The faulted portion was rejected with a typed [`maps_obs::CodecError`] —
     /// and every intact frame before it decoded bit-exactly.
-    ///
-    /// [`ProtoError`]: maps_farm::ProtoError
     RejectedTyped,
     /// The stream ended cleanly at a frame boundary, every frame before
     /// the cut intact — the recoverable disconnect shape.

@@ -165,9 +165,9 @@ impl Artifact {
         }
     }
 
-    /// A run manifest (must parse and pass `validate_manifest`).
-    pub fn manifest(m: &maps_obs::Manifest) -> Self {
-        Self::json("manifest", m.to_json().to_pretty(), |doc| {
+    /// A run manifest document (must parse and pass `validate_manifest`).
+    pub fn manifest(doc: &Json) -> Self {
+        Self::json("manifest", doc.to_pretty(), |doc| {
             let problems = maps_obs::validate_manifest(doc);
             if problems.is_empty() {
                 Ok(())

@@ -51,10 +51,11 @@ pub(crate) use crate::items::CLOCK_RNG_IDENTS;
 /// input, plus the tenant/randomized-MDC isolation modules whose checked
 /// constructors are the release-mode guard against starved partitions
 /// (PANIC-001). Everything here returns typed errors instead.
-const PANIC_FREE_PATHS: [&str; 15] = [
+const PANIC_FREE_PATHS: [&str; 16] = [
     "crates/sim/src/capture.rs",
     "crates/sim/src/report.rs",
     "crates/obs/src/checkpoint.rs",
+    "crates/obs/src/codec.rs",
     "crates/obs/src/frame.rs",
     "crates/obs/src/json.rs",
     "crates/obs/src/manifest.rs",
@@ -468,7 +469,8 @@ fn panic_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
                     line: toks[i + 1].line,
                     message: format!(
                         "`.{}` in a decode/parse path: malformed input must surface as a \
-                         typed error (`DecodeError`/`JsonParseError`/`TraceIoError`), not a panic",
+                         typed error (`CodecError`/`DecodeError`/`JsonParseError`/`TraceIoError`), \
+                         not a panic",
                         if ctx.ident_at(i + 1, "unwrap") {
                             "unwrap()"
                         } else {
@@ -747,6 +749,9 @@ mod tests {
         "#;
         let d = diags("crates/obs/src/json.rs", src);
         assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d[0].message.contains("CodecError"), "{}", d[0].message);
+        // So are the shared field readers every boundary codec uses.
+        assert_eq!(diags("crates/obs/src/codec.rs", src).len(), 2);
         // The farm's campaign/status decoders are held to the same bar.
         assert_eq!(diags("crates/farm/src/campaign.rs", src).len(), 2);
         assert_eq!(diags("crates/farm/src/status.rs", src).len(), 2);

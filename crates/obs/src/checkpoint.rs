@@ -42,7 +42,8 @@ use std::io;
 use std::path::Path;
 
 use crate::atomic::{write_atomic, DurableFile};
-use crate::json::{Json, JsonParseError};
+use crate::codec::CodecError;
+use crate::json::Json;
 
 /// Current checkpoint schema version. Bump on any breaking field change.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
@@ -53,37 +54,6 @@ const CHECKPOINT_KIND: &str = "maps-checkpoint";
 /// Width the header's point count is space-padded to: any `u64` fits, so
 /// a commit rewrites the count without moving a byte after it.
 const COUNT_WIDTH: usize = 20;
-
-/// Why a checkpoint file could not be used.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Reading the file failed (other than it not existing).
-    Io(io::Error),
-    /// A line is not valid JSON.
-    Parse(JsonParseError),
-    /// The file is not a checkpoint this code understands.
-    Schema(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "reading checkpoint: {e}"),
-            CheckpointError::Parse(e) => write!(f, "parsing checkpoint: {e}"),
-            CheckpointError::Schema(what) => write!(f, "invalid checkpoint: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            CheckpointError::Parse(e) => Some(e),
-            CheckpointError::Schema(_) => None,
-        }
-    }
-}
 
 /// Finished sweep points of one run, keyed by stable point identifiers.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,38 +131,44 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Parse`] when the header or a committed record is
-    /// not JSON; [`CheckpointError::Schema`] when the header is missing,
-    /// mistyped or of another schema version, when fewer records are
-    /// complete than it commits, or when a record is malformed or repeats
-    /// a key.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let schema = |what: &str| CheckpointError::Schema(what.to_string());
-        let text = std::str::from_utf8(bytes).map_err(|_| schema("not UTF-8"))?;
+    /// [`CodecError::Utf8`] or [`CodecError::Parse`] when the header or a
+    /// committed record is not UTF-8 JSON; [`CodecError::Version`] for
+    /// another schema version; [`CodecError::Missing`] or
+    /// [`CodecError::Invalid`] when a header field is absent or mistyped,
+    /// when fewer records are complete than it commits, or when a record
+    /// is malformed or repeats a key.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        let text = std::str::from_utf8(bytes).map_err(|_| CodecError::Utf8)?;
         let (head, mut rest) = text
             .split_once('\n')
-            .ok_or_else(|| schema("header line is not newline-terminated"))?;
-        let header = Json::parse(head).or_else(|e| {
-            // A version-1 checkpoint is one pretty-printed document: read
-            // it whole so the error names its version.
-            Json::parse(text).map_err(|_| CheckpointError::Parse(e))
-        })?;
-        let (name, fingerprint, count) = header_from_json(&header)?;
+            .ok_or_else(|| CodecError::invalid("header", "line is not newline-terminated"))?;
+        // A version-1 checkpoint is one pretty-printed document: read it
+        // whole so the error names its version.
+        let header = Json::parse(head).or_else(|e| Json::parse(text).map_err(|_| e))?;
+        header.check_version("schema_version", CHECKPOINT_SCHEMA_VERSION)?;
+        if header.str_field("kind")? != CHECKPOINT_KIND {
+            return Err(CodecError::invalid(
+                "kind",
+                format!("expected '{CHECKPOINT_KIND}'"),
+            ));
+        }
+        let name = header.str_field("name")?.to_string();
+        let fingerprint = header.u64_field("fingerprint")?;
+        let count = header.u64_field("points")?;
         let mut points = Vec::new();
         for done in 0..count {
             let (line, tail) = rest.split_once('\n').ok_or_else(|| {
-                CheckpointError::Schema(format!(
-                    "header commits {count} points but only {done} records are complete"
-                ))
+                CodecError::invalid(
+                    "points",
+                    format!("header commits {count} points but only {done} records are complete"),
+                )
             })?;
-            points.push(record_from_json(
-                Json::parse(line).map_err(CheckpointError::Parse)?,
-            )?);
+            points.push(record_from_json(Json::parse(line)?)?);
             rest = tail;
         }
         points.sort_by(|(a, _), (b, _)| a.cmp(b));
         if points.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(schema("duplicate point key"));
+            return Err(CodecError::invalid("record", "duplicate point key"));
         }
         Ok(Checkpoint {
             name,
@@ -237,11 +213,11 @@ impl Checkpoint {
     /// I/O failures other than absence, and every error of
     /// [`Checkpoint::from_bytes`] — the caller decides whether to discard
     /// and start fresh.
-    pub fn load(path: &Path) -> Result<Option<Self>, CheckpointError> {
+    pub fn load(path: &Path) -> Result<Option<Self>, CodecError> {
         match std::fs::read(path) {
             Ok(bytes) => Self::from_bytes(&bytes).map(Some),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(CheckpointError::Io(e)),
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -268,39 +244,6 @@ fn header_line(name: &str, fingerprint: u64, count: u64) -> String {
     line
 }
 
-/// Validates a parsed header, returning `(name, fingerprint, points)`.
-fn header_from_json(doc: &Json) -> Result<(String, u64, u64), CheckpointError> {
-    let schema = |what: &str| CheckpointError::Schema(what.to_string());
-    if !doc.is_obj() {
-        return Err(schema("header is not an object"));
-    }
-    match doc.get("schema_version").and_then(Json::as_u64) {
-        Some(CHECKPOINT_SCHEMA_VERSION) => {}
-        Some(v) => {
-            return Err(CheckpointError::Schema(format!(
-                "unsupported schema_version {v} (expected {CHECKPOINT_SCHEMA_VERSION})"
-            )))
-        }
-        None => return Err(schema("missing or non-integer schema_version")),
-    }
-    if doc.get("kind").and_then(Json::as_str) != Some(CHECKPOINT_KIND) {
-        return Err(schema("missing or wrong kind marker"));
-    }
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| schema("missing or non-string name"))?;
-    let fingerprint = doc
-        .get("fingerprint")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| schema("missing or non-integer fingerprint"))?;
-    let count = doc
-        .get("points")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| schema("missing or non-integer points count"))?;
-    Ok((name.to_string(), fingerprint, count))
-}
-
 /// One record line: `["<key>",<value>]` plus the newline.
 fn record_line(key: &str, value: &Json) -> String {
     let key = Json::Str(key.to_string()).to_compact();
@@ -308,7 +251,7 @@ fn record_line(key: &str, value: &Json) -> String {
 }
 
 /// Splits a parsed record into its key and value.
-fn record_from_json(doc: Json) -> Result<(String, Json), CheckpointError> {
+fn record_from_json(doc: Json) -> Result<(String, Json), CodecError> {
     if let Json::Arr(items) = doc {
         let mut items = items.into_iter();
         if let (Some(Json::Str(key)), Some(value), None) =
@@ -317,9 +260,7 @@ fn record_from_json(doc: Json) -> Result<(String, Json), CheckpointError> {
             return Ok((key, value));
         }
     }
-    Err(CheckpointError::Schema(
-        "record is not a [key, value] pair".to_string(),
-    ))
+    Err(CodecError::invalid("record", "not a [key, value] pair"))
 }
 
 /// A checkpoint file open for appending, made by [`Checkpoint::journal`].
@@ -400,7 +341,12 @@ mod tests {
 
     fn schema_error(bytes: &[u8]) -> String {
         match Checkpoint::from_bytes(bytes) {
-            Err(CheckpointError::Schema(msg)) => msg,
+            Err(
+                e @ (CodecError::Missing(_)
+                | CodecError::Invalid { .. }
+                | CodecError::Version { .. }
+                | CodecError::Utf8),
+            ) => e.to_string(),
             other => panic!("expected schema error, got {other:?}"),
         }
     }
@@ -500,7 +446,7 @@ mod tests {
             1,
         );
         for (doc, expect) in [
-            ("[]\n".to_string(), "not an object"),
+            ("[]\n".to_string(), "missing field 'schema_version'"),
             (header(""), "schema_version"),
             (header(r#""schema_version":99"#), "unsupported"),
             (v1, "unsupported schema_version 1"),
@@ -513,7 +459,7 @@ mod tests {
                 header(&format!(
                     r#"{v2},"kind":"maps-checkpoint","name":"x","fingerprint":1"#
                 )),
-                "points count",
+                "missing field 'points'",
             ),
             (short, "header commits 3 points but only 2"),
             (
@@ -529,9 +475,9 @@ mod tests {
         }
         assert!(matches!(
             Checkpoint::from_bytes(b"{\n"),
-            Err(CheckpointError::Parse(_))
+            Err(CodecError::Parse(_))
         ));
-        assert_eq!(schema_error(&[0xff, b'\n']), "not UTF-8");
+        assert_eq!(schema_error(&[0xff, b'\n']), "not valid UTF-8");
     }
 
     #[test]
@@ -539,7 +485,10 @@ mod tests {
         let mut text = String::from_utf8(Checkpoint::new("x", 1).to_bytes()).unwrap();
         text = text.replacen("\"points\":0 ", "\"points\":2 ", 1);
         text.push_str("[\"k\",1]\n[\"k\",2]\n");
-        assert_eq!(schema_error(text.as_bytes()), "duplicate point key");
+        assert_eq!(
+            schema_error(text.as_bytes()),
+            "field 'record' invalid: duplicate point key"
+        );
     }
 
     #[test]

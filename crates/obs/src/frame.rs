@@ -4,21 +4,22 @@
 //! A frame is `MAGIC(4) ‖ length(4, LE) ‖ payload(length)` where the
 //! payload is a UTF-8 [`Json`] document. The magic bytes carry the frame
 //! format version (`b"MFR\x01"`), so a reader connected to a future
-//! daemon fails with a typed [`FrameError::BadMagic`] instead of
+//! daemon fails with a typed [`CodecError::BadMagic`] instead of
 //! misparsing; the *semantic* schema version rides inside the payload
 //! (`maps-farm`'s `proto` field) and is checked there.
 //!
 //! Decoding never panics and never blocks past the underlying reader:
 //! every malformed input — wrong magic, an oversized or truncated length,
 //! a payload cut mid-byte, invalid UTF-8, malformed JSON — surfaces as a
-//! typed [`FrameError`], mirroring the hardened `read_varint` discipline
+//! typed [`CodecError`], mirroring the hardened `read_varint` discipline
 //! of the trace codec. A *clean* EOF at a frame boundary is not an error:
 //! [`read_frame`] returns `Ok(None)`, so stream consumers can tell an
 //! orderly shutdown from a torn one.
 
 use std::io::{Read, Write};
 
-use crate::json::{Json, JsonParseError};
+use crate::codec::CodecError;
+use crate::json::Json;
 
 /// Frame format marker + version byte.
 pub const FRAME_MAGIC: [u8; 4] = *b"MFR\x01";
@@ -28,73 +29,6 @@ pub const FRAME_MAGIC: [u8; 4] = *b"MFR\x01";
 /// enough that a corrupted length field cannot make a reader attempt a
 /// multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: u32 = 16 << 20;
-
-/// Why a frame could not be read. Every variant is a typed, recoverable
-/// condition; decoding never panics.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
-    /// The stream does not start with [`FRAME_MAGIC`] (wrong protocol,
-    /// garbage injection, or a reader desynchronized mid-stream).
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The declared payload length exceeds [`MAX_FRAME_BYTES`].
-    Oversized {
-        /// The declared length.
-        declared: u32,
-    },
-    /// The stream ended inside a frame (torn write or killed peer).
-    Truncated {
-        /// Bytes the frame still owed when the stream ended.
-        missing: usize,
-    },
-    /// The payload is not valid UTF-8.
-    Utf8,
-    /// The payload is not a valid JSON document.
-    Json(JsonParseError),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "frame read failed: {e}"),
-            FrameError::BadMagic { found } => {
-                write!(
-                    f,
-                    "bad frame magic {found:02x?} (expected {FRAME_MAGIC:02x?})"
-                )
-            }
-            FrameError::Oversized { declared } => write!(
-                f,
-                "frame declares {declared} bytes (limit {MAX_FRAME_BYTES})"
-            ),
-            FrameError::Truncated { missing } => {
-                write!(f, "stream ended inside a frame ({missing} bytes missing)")
-            }
-            FrameError::Utf8 => write!(f, "frame payload is not valid UTF-8"),
-            FrameError::Json(e) => write!(f, "frame payload is not valid JSON: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FrameError::Io(e) => Some(e),
-            FrameError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
 
 /// Writes one frame and flushes the writer, so a frame is either fully
 /// buffered in the kernel or the write errored — the sender never leaves
@@ -122,38 +56,38 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &Json) -> std::io::Result<()> {
 
 /// Reads either a full buffer or, at a clean boundary, nothing at all.
 /// Returns `Ok(false)` when the stream was already at EOF; EOF *inside*
-/// the buffer is [`FrameError::Truncated`].
-fn read_full_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, FrameError> {
+/// the buffer is [`CodecError::Truncated`].
+fn read_full_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, CodecError> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
-                return Err(FrameError::Truncated {
+                return Err(CodecError::Truncated {
                     missing: buf.len() - filled,
                 })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+            Err(e) => return Err(CodecError::Io(e)),
         }
     }
     Ok(true)
 }
 
 /// Reads exactly `buf.len()` bytes; EOF anywhere is a truncation.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameError> {
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), CodecError> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
-                return Err(FrameError::Truncated {
+                return Err(CodecError::Truncated {
                     missing: buf.len() - filled,
                 })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+            Err(e) => return Err(CodecError::Io(e)),
         }
     }
     Ok(())
@@ -161,29 +95,31 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameError> {
 
 /// Reads one frame. `Ok(None)` means the stream ended cleanly *between*
 /// frames; every torn, corrupt, or oversized input is a typed
-/// [`FrameError`].
+/// [`CodecError`].
 ///
 /// # Errors
 ///
-/// See [`FrameError`] — one variant per failure mode, never a panic.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Json>, FrameError> {
+/// [`CodecError::Io`], [`CodecError::BadMagic`], [`CodecError::Oversized`],
+/// [`CodecError::Truncated`], [`CodecError::Utf8`] or
+/// [`CodecError::Parse`] — one variant per failure mode, never a panic.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Json>, CodecError> {
     let mut magic = [0u8; 4];
     if !read_full_or_eof(r, &mut magic)? {
         return Ok(None);
     }
     if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic { found: magic });
+        return Err(CodecError::BadMagic { found: magic });
     }
     let mut len_bytes = [0u8; 4];
     read_full(r, &mut len_bytes)?;
     let declared = u32::from_le_bytes(len_bytes);
     if declared > MAX_FRAME_BYTES {
-        return Err(FrameError::Oversized { declared });
+        return Err(CodecError::Oversized { declared });
     }
     let mut body = vec![0u8; declared as usize];
     read_full(r, &mut body)?;
-    let text = std::str::from_utf8(&body).map_err(|_| FrameError::Utf8)?;
-    Json::parse(text).map(Some).map_err(FrameError::Json)
+    let text = std::str::from_utf8(&body).map_err(|_| CodecError::Utf8)?;
+    Ok(Some(Json::parse(text)?))
 }
 
 #[cfg(test)]
@@ -234,7 +170,7 @@ mod tests {
         for cut in 1..bytes.len() {
             let mut cursor = &bytes[..cut];
             match read_frame(&mut cursor) {
-                Err(FrameError::Truncated { missing }) => assert!(missing > 0),
+                Err(CodecError::Truncated { missing }) => assert!(missing > 0),
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
         }
@@ -246,7 +182,7 @@ mod tests {
         bytes[0] = b'X';
         let err = read_frame(&mut &bytes[..]).expect_err("bad magic");
         match err {
-            FrameError::BadMagic { found } => assert_eq!(found[0], b'X'),
+            CodecError::BadMagic { found } => assert_eq!(found[0], b'X'),
             other => panic!("expected BadMagic, got {other:?}"),
         }
     }
@@ -260,7 +196,7 @@ mod tests {
         let err = read_frame(&mut &bytes[..]).expect_err("oversized");
         assert!(matches!(
             err,
-            FrameError::Oversized { declared } if declared == u32::MAX
+            CodecError::Oversized { declared } if declared == u32::MAX
         ));
     }
 
@@ -271,7 +207,7 @@ mod tests {
         bytes.extend(FRAME_MAGIC);
         bytes.extend(4u32.to_le_bytes());
         bytes.extend([0xFF, 0xFE, 0x80, 0x81]);
-        assert!(matches!(read_frame(&mut &bytes[..]), Err(FrameError::Utf8)));
+        assert!(matches!(read_frame(&mut &bytes[..]), Err(CodecError::Utf8)));
         // Valid header, payload that is not JSON.
         let mut bytes = Vec::new();
         bytes.extend(FRAME_MAGIC);
@@ -279,7 +215,7 @@ mod tests {
         bytes.extend(b"{x}");
         assert!(matches!(
             read_frame(&mut &bytes[..]),
-            Err(FrameError::Json(_))
+            Err(CodecError::Parse(_))
         ));
     }
 
@@ -291,7 +227,7 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(Json::UInt(7)));
         assert!(matches!(
             read_frame(&mut cursor),
-            Err(FrameError::BadMagic { .. })
+            Err(CodecError::BadMagic { .. })
         ));
     }
 }

@@ -147,10 +147,15 @@ impl Json {
     }
 
     /// Parses a JSON document (one value plus optional whitespace).
+    /// Arrays and objects may nest at most 128 deep: the parser recurses
+    /// once per level, and a deeper document from outside the process
+    /// must fail typed, not overflow the stack (which aborts the process
+    /// rather than panicking).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -207,9 +212,15 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Nothing the
+/// workspace writes nests deeper than about 6 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -254,8 +265,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -531,6 +553,27 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let mixed = format!(
+            "{}1{}",
+            r#"{"a":["#.repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Unbounded recursion would overflow a default-sized thread's
+        // stack and abort the whole process.
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)).is_err())
+            .join()
+            .expect("parser thread survives");
+        assert!(deep);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * [`Json`] / [`Manifest`] — a dependency-free JSON value type (writer
 //!   *and* parser) and the schema-versioned run manifest every
 //!   `maps-bench` binary emits.
+//! * [`CodecError`] — the one error of every boundary decoder (frames,
+//!   checkpoints, jobs, reports, campaign documents), with the typed
+//!   field readers on [`Json`] they are built from.
 //! * [`write_atomic`] / [`Checkpoint`] / [`CheckpointJournal`] —
 //!   crash-safe result publication (temp file + rename) and the
 //!   schema-versioned, append-only sweep checkpoint that lets an
@@ -47,6 +50,7 @@
 
 pub mod atomic;
 pub mod checkpoint;
+pub mod codec;
 pub mod frame;
 pub mod json;
 pub mod manifest;
@@ -55,10 +59,9 @@ pub mod sink;
 pub mod timer;
 
 pub use atomic::write_atomic;
-pub use checkpoint::{
-    fingerprint64, Checkpoint, CheckpointError, CheckpointJournal, CHECKPOINT_SCHEMA_VERSION,
-};
-pub use frame::{read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_BYTES};
+pub use checkpoint::{fingerprint64, Checkpoint, CheckpointJournal, CHECKPOINT_SCHEMA_VERSION};
+pub use codec::CodecError;
+pub use frame::{read_frame, write_frame, FRAME_MAGIC, MAX_FRAME_BYTES};
 pub use json::{Json, JsonParseError};
 pub use manifest::{git_describe, validate_manifest, Manifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics};

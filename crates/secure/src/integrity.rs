@@ -34,6 +34,7 @@ use std::cell::RefCell;
 use std::fmt;
 
 use maps_trace::det::DetHashMap;
+use maps_trace::rng::SplitMix64;
 use maps_trace::BlockAddr;
 
 use crate::{CounterMode, CounterStore, Layout, SecureConfig};
@@ -113,19 +114,12 @@ impl fmt::Display for AttackSite {
     }
 }
 
-/// SplitMix64 finalizer: a fast, well-distributed 64-bit mixer.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Keyed combination of hash inputs.
+/// Keyed combination of hash inputs, folded with the SplitMix64
+/// finalizer.
 fn hmac(key: u64, parts: &[u64]) -> u64 {
-    let mut acc = mix(key);
+    let mut acc = SplitMix64::new(key).next_u64();
     for &p in parts {
-        acc = mix(acc ^ p);
+        acc = SplitMix64::new(acc ^ p).next_u64();
     }
     acc
 }

@@ -47,5 +47,5 @@ pub use engine::{EngineStats, MetaObserver, MetadataEngine, NullObserver, Record
 pub use hierarchy::{Hierarchy, HierarchyStats, MemEvent};
 pub use mdcache::MetadataCache;
 pub use probe::MetricsProbe;
-pub use report::{ReportCodecError, SimReport, TenantMdcStats, REPORT_SCHEMA_VERSION};
+pub use report::{SimReport, TenantMdcStats, REPORT_SCHEMA_VERSION};
 pub use sim::SecureSim;

@@ -12,7 +12,7 @@ use std::fmt;
 
 use maps_cache::{CacheStats, KindStats};
 use maps_mem::{DramCounters, EnergyDelay};
-use maps_obs::Json;
+use maps_obs::{CodecError, Json};
 use maps_trace::MetaGroup;
 
 use crate::engine::EngineStats;
@@ -22,48 +22,6 @@ use crate::hierarchy::HierarchyStats;
 /// (v2 added the per-tenant metadata-cache breakdown.)
 pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
-/// Why a serialized report could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportCodecError {
-    /// A required field is missing, mistyped, or the schema version is
-    /// unsupported. Carries a human-readable description.
-    Schema(String),
-}
-
-impl fmt::Display for ReportCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportCodecError::Schema(what) => write!(f, "invalid serialized report: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ReportCodecError {}
-
-fn schema(what: &str) -> ReportCodecError {
-    ReportCodecError::Schema(what.to_string())
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, ReportCodecError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ReportCodecError::Schema(format!("missing or non-integer field '{key}'")))
-}
-
-/// Reads an f64 stored as its raw bit pattern (`u64`).
-fn get_f64_bits(doc: &Json, key: &str) -> Result<f64, ReportCodecError> {
-    get_u64(doc, key).map(f64::from_bits)
-}
-
-fn get_obj<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ReportCodecError> {
-    match doc.get(key) {
-        Some(v) if v.is_obj() => Ok(v),
-        _ => Err(ReportCodecError::Schema(format!(
-            "missing or non-object field '{key}'"
-        ))),
-    }
-}
-
 fn dram_to_json(d: &DramCounters) -> Json {
     let DramCounters { reads, writes } = d;
     Json::Obj(vec![
@@ -72,10 +30,10 @@ fn dram_to_json(d: &DramCounters) -> Json {
     ])
 }
 
-fn dram_from_json(doc: &Json) -> Result<DramCounters, ReportCodecError> {
+fn dram_from_json(doc: &Json) -> Result<DramCounters, CodecError> {
     Ok(DramCounters {
-        reads: get_u64(doc, "reads")?,
-        writes: get_u64(doc, "writes")?,
+        reads: doc.u64_field("reads")?,
+        writes: doc.u64_field("writes")?,
     })
 }
 
@@ -96,26 +54,27 @@ fn cache_stats_to_json(s: &CacheStats) -> Json {
     Json::Obj(vec![("buckets".to_string(), Json::Arr(buckets))])
 }
 
-fn cache_stats_from_json(doc: &Json) -> Result<CacheStats, ReportCodecError> {
-    let Some(Json::Arr(rows)) = doc.get("buckets") else {
-        return Err(schema("missing or non-array 'buckets'"));
-    };
+fn cache_stats_from_json(doc: &Json) -> Result<CacheStats, CodecError> {
+    let rows = doc.arr_field("buckets")?;
     if rows.len() != 4 {
-        return Err(schema("'buckets' must hold exactly 4 kinds"));
+        return Err(CodecError::invalid("buckets", "must hold exactly 4 kinds"));
     }
     let mut buckets = [KindStats::default(); 4];
     for (out, row) in buckets.iter_mut().zip(rows) {
         let Json::Arr(fields) = row else {
-            return Err(schema("bucket row is not an array"));
+            return Err(CodecError::invalid("buckets", "row is not an array"));
         };
         let mut vals = [0u64; 5];
         if fields.len() != vals.len() {
-            return Err(schema("bucket row must hold exactly 5 counters"));
+            return Err(CodecError::invalid(
+                "buckets",
+                "row must hold exactly 5 counters",
+            ));
         }
         for (v, field) in vals.iter_mut().zip(fields) {
-            *v = field
-                .as_u64()
-                .ok_or_else(|| schema("bucket counter is not an unsigned integer"))?;
+            *v = field.as_u64().ok_or_else(|| {
+                CodecError::invalid("buckets", "counter is not an unsigned integer")
+            })?;
         }
         let [accesses, hits, misses, evictions, writebacks] = vals;
         *out = KindStats {
@@ -365,78 +324,58 @@ impl SimReport {
     ///
     /// # Errors
     ///
-    /// [`ReportCodecError::Schema`] when any field is missing, mistyped,
-    /// or the schema version is unsupported — a corrupt or stale
-    /// checkpoint entry is rejected, never misread into wrong figures.
-    pub fn from_json(doc: &Json) -> Result<Self, ReportCodecError> {
-        if !doc.is_obj() {
-            return Err(schema("root is not an object"));
-        }
-        match get_u64(doc, "schema_version")? {
-            REPORT_SCHEMA_VERSION => {}
-            v => {
-                return Err(ReportCodecError::Schema(format!(
-                    "unsupported schema_version {v} (expected {REPORT_SCHEMA_VERSION})"
-                )))
-            }
-        }
-        let workload = doc
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| schema("missing or non-string 'workload'"))?
-            .to_string();
-        let h = get_obj(doc, "hierarchy")?;
+    /// [`CodecError::Missing`], [`CodecError::Invalid`] or
+    /// [`CodecError::Version`] when any field is missing, mistyped, or the
+    /// schema version is unsupported — a corrupt or stale checkpoint entry
+    /// is rejected, never misread into wrong figures.
+    pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
+        doc.check_version("schema_version", REPORT_SCHEMA_VERSION)?;
+        let workload = doc.str_field("workload")?.to_string();
+        let h = doc.obj_field("hierarchy")?;
         let hierarchy = HierarchyStats {
-            accesses: get_u64(h, "accesses")?,
-            instructions: get_u64(h, "instructions")?,
-            l1_misses: get_u64(h, "l1_misses")?,
-            l2_misses: get_u64(h, "l2_misses")?,
-            llc_demand_misses: get_u64(h, "llc_demand_misses")?,
-            llc_writebacks: get_u64(h, "llc_writebacks")?,
+            accesses: h.u64_field("accesses")?,
+            instructions: h.u64_field("instructions")?,
+            l1_misses: h.u64_field("l1_misses")?,
+            l2_misses: h.u64_field("l2_misses")?,
+            llc_demand_misses: h.u64_field("llc_demand_misses")?,
+            llc_writebacks: h.u64_field("llc_writebacks")?,
         };
-        let e = get_obj(doc, "engine")?;
+        let e = doc.obj_field("engine")?;
         let engine = EngineStats {
-            meta: cache_stats_from_json(get_obj(e, "meta")?)?,
-            dram_data: dram_from_json(get_obj(e, "dram_data")?)?,
-            dram_meta: dram_from_json(get_obj(e, "dram_meta")?)?,
-            tree_walks: get_u64(e, "tree_walks")?,
-            tree_walk_level_misses: get_u64(e, "tree_walk_level_misses")?,
-            page_overflows: get_u64(e, "page_overflows")?,
-            partial_fill_reads: get_u64(e, "partial_fill_reads")?,
-            stall_cycles: get_u64(e, "stall_cycles")?,
-            reads: get_u64(e, "reads")?,
-            writes: get_u64(e, "writes")?,
-            max_cascade_depth: get_u64(e, "max_cascade_depth")?,
+            meta: cache_stats_from_json(e.obj_field("meta")?)?,
+            dram_data: dram_from_json(e.obj_field("dram_data")?)?,
+            dram_meta: dram_from_json(e.obj_field("dram_meta")?)?,
+            tree_walks: e.u64_field("tree_walks")?,
+            tree_walk_level_misses: e.u64_field("tree_walk_level_misses")?,
+            page_overflows: e.u64_field("page_overflows")?,
+            partial_fill_reads: e.u64_field("partial_fill_reads")?,
+            stall_cycles: e.u64_field("stall_cycles")?,
+            reads: e.u64_field("reads")?,
+            writes: e.u64_field("writes")?,
+            max_cascade_depth: e.u64_field("max_cascade_depth")?,
         };
-        let Some(Json::Arr(rows)) = doc.get("tenants") else {
-            return Err(schema("missing or non-array 'tenants'"));
-        };
+        let rows = doc.arr_field("tenants")?;
         let mut tenants = Vec::with_capacity(rows.len());
         for row in rows {
-            if !row.is_obj() {
-                return Err(schema("tenant row is not an object"));
-            }
-            let tenant = get_u64(row, "tenant")?;
-            if tenant > u64::from(u8::MAX) {
-                return Err(schema("tenant id out of range"));
-            }
+            let tenant = u8::try_from(row.u64_field("tenant")?)
+                .map_err(|_| CodecError::invalid("tenant", "id out of range"))?;
             tenants.push(TenantMdcStats {
-                tenant: tenant as u8,
-                meta: cache_stats_from_json(get_obj(row, "meta")?)?,
-                occupancy: get_u64(row, "occupancy")?,
+                tenant,
+                meta: cache_stats_from_json(row.obj_field("meta")?)?,
+                occupancy: row.u64_field("occupancy")?,
             });
         }
-        let en = get_obj(doc, "energy")?;
+        let en = doc.obj_field("energy")?;
         let energy = EnergyDelay::from_parts(
-            get_u64(en, "cycles")?,
-            get_f64_bits(en, "dram_pj_bits")?,
-            get_f64_bits(en, "sram_pj_bits")?,
-            get_f64_bits(en, "static_pj_bits")?,
+            en.u64_field("cycles")?,
+            en.f64_bits_field("dram_pj_bits")?,
+            en.f64_bits_field("sram_pj_bits")?,
+            en.f64_bits_field("static_pj_bits")?,
         );
         Ok(SimReport {
             workload,
-            instructions: get_u64(doc, "instructions")?,
-            cycles: get_u64(doc, "cycles")?,
+            instructions: doc.u64_field("instructions")?,
+            cycles: doc.u64_field("cycles")?,
             hierarchy,
             engine,
             tenants,
@@ -656,7 +595,11 @@ mod tests {
         }
         assert!(matches!(
             SimReport::from_json(&bad),
-            Err(ReportCodecError::Schema(_))
+            Err(CodecError::Version {
+                field: "schema_version",
+                got: 99,
+                expected: REPORT_SCHEMA_VERSION
+            })
         ));
         // Dropped field.
         let mut bad = doc.clone();
@@ -665,7 +608,7 @@ mod tests {
         }
         assert!(matches!(
             SimReport::from_json(&bad),
-            Err(ReportCodecError::Schema(_))
+            Err(CodecError::Missing("engine"))
         ));
         // Non-object root.
         assert!(SimReport::from_json(&maps_obs::Json::Arr(vec![])).is_err());
