@@ -1,6 +1,6 @@
 //! Analysis tooling for the MAPS characterization study: reuse-distance
-//! profiling, distribution summaries, MPKI accounting, and plain-text table
-//! output used by the figure-regeneration harnesses.
+//! profiling, distribution summaries, and plain-text table output used by
+//! the figure-regeneration harnesses.
 //!
 //! The central type is [`ReuseProfiler`], an *O(log n)*-per-access LRU
 //! stack-distance profiler built on a Fenwick tree. Reuse distances feed the
@@ -24,8 +24,6 @@
 pub mod cdf;
 pub mod classes;
 pub mod fenwick;
-pub mod hist;
-pub mod mpki;
 pub mod reuse;
 pub mod stats;
 pub mod table;
@@ -34,10 +32,8 @@ pub mod transition;
 pub use cdf::Cdf;
 pub use classes::{ClassCounts, ReuseClass};
 pub use fenwick::Fenwick;
-pub use hist::LogHistogram;
-pub use mpki::Mpki;
 pub use reuse::{GroupedReuseProfiler, ReuseProfiler};
-pub use stats::{geometric_mean, mean, normalize_to};
+pub use stats::{geometric_mean, mean};
 pub use table::fmt_bytes;
 pub use table::Table;
 pub use transition::Transition;

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use maps_trace::{AccessKind, BlockKind, MetaAccess, MetaGroup};
+use maps_trace::{AccessKind, MetaAccess, MetaGroup};
 
 use crate::{Cdf, ClassCounts, Fenwick, Transition};
 
@@ -133,15 +133,6 @@ impl GroupedReuseProfiler {
         self.last_kind.insert(key, access.access);
     }
 
-    /// Observes a metadata access given its parts.
-    pub fn observe_parts(&mut self, block: u64, kind: BlockKind, access: AccessKind) {
-        self.observe(&MetaAccess::new(
-            maps_trace::BlockAddr::new(block),
-            kind,
-            access,
-        ));
-    }
-
     /// Per-group profiler (Counter/Hash/Tree).
     pub fn group(&self, group: MetaGroup) -> &ReuseProfiler {
         &self.by_group[group.index()]
@@ -177,7 +168,7 @@ impl GroupedReuseProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maps_trace::BlockAddr;
+    use maps_trace::{BlockAddr, BlockKind};
 
     /// Naive O(n^2) reference implementation of reuse distance.
     fn naive_distances(keys: &[u64]) -> Vec<Option<u64>> {

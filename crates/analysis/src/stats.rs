@@ -37,20 +37,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Divides each value by `baseline`, the normalization used throughout
-/// Figures 2 and 7 (overhead relative to an insecure-memory system).
-///
-/// # Panics
-///
-/// Panics if `baseline` is not finite and positive.
-pub fn normalize_to(values: &[f64], baseline: f64) -> Vec<f64> {
-    assert!(
-        baseline.is_finite() && baseline > 0.0,
-        "normalization baseline must be finite and positive, got {baseline}"
-    );
-    values.iter().map(|v| v / baseline).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,17 +57,5 @@ mod tests {
     fn geomean_matches_closed_form() {
         let g = geometric_mean(&[2.0, 8.0]);
         assert!((g - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalization() {
-        let n = normalize_to(&[2.0, 4.0], 2.0);
-        assert_eq!(n, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline")]
-    fn zero_baseline_panics() {
-        normalize_to(&[1.0], 0.0);
     }
 }

@@ -1,7 +1,5 @@
 //! Property tests for the analysis primitives.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps_analysis::{geometric_mean, Cdf, ClassCounts, Fenwick, ReuseClass, ReuseProfiler};
 use proptest::prelude::*;
 

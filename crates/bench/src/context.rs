@@ -21,8 +21,8 @@
 //! unset, [`RunContext::record_report`] returns immediately and the
 //! manifest's `metrics` section is an empty object, so the instrumented
 //! binaries stay within noise of their un-instrumented cost. Metrics can
-//! never steer a simulation — sinks only observe — so enabling them cannot
-//! change any simulated number.
+//! never steer a simulation — a report is exported only after its run
+//! finishes — so enabling them cannot change any simulated number.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -170,12 +170,6 @@ impl RunContext {
             report.export(label, &mut self.metrics);
         }
         self
-    }
-
-    /// Direct access to the metrics registry (callers should check
-    /// [`metrics_enabled`] before doing expensive derivations).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Stamps the wall clock, assembles the manifest, and writes the

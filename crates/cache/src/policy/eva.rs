@@ -133,13 +133,6 @@ impl Eva {
         self.eva[self.bucket(age)]
     }
 
-    /// EVA rank of the line resident in `(set, way)` at time `now`, using
-    /// this estimator's lifetime tracking. Used by composite policies
-    /// (e.g. per-type EVA) that delegate ranking to member estimators.
-    pub fn rank_of_frame(&self, set: usize, way: usize, now: u64) -> f64 {
-        self.rank_of_age(self.lifetime_age(set, way, now))
-    }
-
     fn lifetime_age(&self, set: usize, way: usize, now: u64) -> u64 {
         now.saturating_sub(self.birth[set * self.ways + way])
     }

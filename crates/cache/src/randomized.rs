@@ -156,16 +156,10 @@ impl RandomizedCache {
 
     /// Installs a per-tenant frame quota of `capacity / tenants` frames
     /// (minimum one): a tenant at its quota evicts one of its own frames
-    /// before installing. `None`-equivalent: pass through
-    /// [`RandomizedCache::clear_tenant_quota`].
+    /// before installing.
     pub fn set_tenant_quota(&mut self, tenants: usize) {
         assert!(tenants >= 1, "tenant count must be positive");
         self.quota = Some((self.capacity / tenants).max(1));
-    }
-
-    /// Removes the per-tenant frame quota.
-    pub fn clear_tenant_quota(&mut self) {
-        self.quota = None;
     }
 
     /// Total capacity in bytes.
@@ -176,11 +170,6 @@ impl RandomizedCache {
     /// Data-store capacity in frames.
     pub const fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Tag-store geometry `(skews, sets, ways)`.
-    pub const fn tag_geometry(&self) -> (usize, usize, usize) {
-        (SKEWS, self.sets, self.ways)
     }
 
     /// Accumulated statistics.

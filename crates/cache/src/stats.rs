@@ -142,7 +142,7 @@ impl CacheStats {
     /// `{prefix}.{data|counter|hash|tree}.{accesses,hits,misses,evictions,
     /// writebacks}`. Pull-based: called once at snapshot time, so the
     /// per-access hot path carries no metrics cost.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         const KIND_NAMES: [&str; 4] = ["data", "counter", "hash", "tree"];
         for (name, b) in KIND_NAMES.iter().zip(&self.buckets) {
             for (field, value) in [

@@ -1,7 +1,5 @@
 //! Property tests for the cache substrate and its policies.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps_cache::policy::{AnyPolicy, Policy, TrueLru};
 use maps_cache::{belady_misses, CacheConfig, Partition, SetAssocCache};
 use maps_trace::BlockKind;

@@ -139,8 +139,9 @@ fn follow(
 ///
 /// # Errors
 ///
-/// See [`follow`]'s error contract; plus every rejection the daemon
-/// issues for unknown figures.
+/// [`FarmError::Io`] when the daemon stays unreachable past the
+/// reconnect budget, [`FarmError::Usage`] when it rejects the request
+/// (unknown figures included).
 pub fn submit(
     socket: &Path,
     campaign: &str,
@@ -164,7 +165,7 @@ pub fn submit(
 ///
 /// # Errors
 ///
-/// See [`follow`].
+/// As for [`submit`].
 pub fn attach(socket: &Path, campaign: &str, since: u64) -> Result<StreamOutcome, FarmError> {
     let request = Frame::Attach {
         campaign: campaign.to_string(),

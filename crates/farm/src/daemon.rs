@@ -8,7 +8,7 @@
 //! points in **spawned worker processes** (`maps-farmd --worker`) instead
 //! of in-process threads:
 //!
-//! * **Supervision.** One [`Supervisor`] per worker slot claims points
+//! * **Supervision.** One `Supervisor` per worker slot claims points
 //!   with [`Farm::next_job`], ships them over a stdin pipe as
 //!   [`Frame::Job`]s, and watches the worker's stdout for heartbeats. A
 //!   worker that dies (SIGKILL, torn frame, nonzero exit) or misses its

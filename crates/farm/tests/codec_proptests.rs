@@ -14,8 +14,7 @@
 //! trailing garbage after a valid frame, and a pinned list covering every
 //! frame variant.
 //!
-//! These run ungated (no `heavy-tests` feature): no codec touches the
-//! simulator, so the whole suite takes seconds.
+//! No codec touches the simulator, so the whole suite takes seconds.
 
 use maps_bench::{job_from_json, job_to_json, JobKind, PlanHost, SimJob};
 use maps_farm::proto::send;

@@ -6,7 +6,6 @@
 //!   execution path ([`maps_bench::exec_job`]) is a differential twin of
 //!   a fresh, uncached simulation.
 
-#![cfg(feature = "heavy-tests")]
 #![recursion_limit = "256"]
 
 use std::path::PathBuf;

@@ -7,7 +7,7 @@
 //! fingerprint, and the property that makes a failing trial replayable.
 
 use maps_obs::{Checkpoint, Json, Manifest};
-use maps_sim::{CapturedTrace, SecureSim, SimConfig};
+use maps_sim::{SecureSim, SimConfig};
 use maps_trace::rng::{SmallRng, SplitMix64};
 use maps_workloads::Benchmark;
 
@@ -28,7 +28,7 @@ pub struct CampaignSpec {
     pub farmd_trials_per_class: u32,
     /// Protected-memory size of each model-trial arena.
     pub mem_bytes: u64,
-    /// Accesses recorded into the capture/report artifacts.
+    /// Accesses simulated into the report artifact.
     pub artifact_accesses: u64,
 }
 
@@ -253,7 +253,6 @@ impl std::fmt::Display for CampaignReport {
 /// campaign from deterministic inputs.
 fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
     let cfg = SimConfig::paper_default();
-    let trace = CapturedTrace::record(&cfg, Benchmark::Gups.build(seed), spec.artifact_accesses);
     let report = SecureSim::new(cfg, Benchmark::Gups.build(seed)).run(spec.artifact_accesses);
 
     let mut manifest = Manifest::new("inject-artifact");
@@ -285,7 +284,6 @@ fn build_artifacts(spec: &CampaignSpec, seed: u64) -> Vec<Artifact> {
     ckpt.insert("sweep/point-b", Json::UInt(seed));
 
     vec![
-        Artifact::capture(&trace),
         Artifact::manifest(&manifest_doc),
         Artifact::checkpoint(&ckpt),
         Artifact::report(&report),

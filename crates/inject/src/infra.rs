@@ -1,13 +1,13 @@
 //! Infrastructure-fault plane: corrupting the bytes of result artifacts
 //! and failing their writes at seeded offsets.
 //!
-//! The pipeline's artifacts — captured traces, run manifests, sweep
-//! checkpoints, serialized reports — all have strict decoders with typed
-//! errors. This plane verifies the contract those decoders make to the
-//! crash-safety story: a **torn** file (truncation, short write, ENOSPC
-//! mid-write) is always either rejected with a typed error or decodes to
-//! exactly the original content (when only trailing whitespace was cut);
-//! no corruption of any kind may panic a consumer. Random interior bit
+//! The pipeline's artifacts — run manifests, sweep checkpoints and
+//! serialized reports — all have strict decoders with typed errors. This
+//! plane verifies the contract those decoders make to the crash-safety
+//! story: a **torn** file (truncation, short write, ENOSPC mid-write) is
+//! always either rejected with a typed error or decodes to exactly the
+//! original content (when only trailing whitespace was cut); no
+//! corruption of any kind may panic a consumer. Random interior bit
 //! flips may survive formats without checksums — the campaign *measures*
 //! that rate per artifact, it does not pretend to fix it; the asserted
 //! guarantees are zero panics and zero silently-torn files.
@@ -16,7 +16,7 @@ use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use maps_obs::{Checkpoint, Json};
-use maps_sim::{CapturedTrace, SimReport};
+use maps_sim::SimReport;
 use maps_trace::rng::SmallRng;
 
 /// The injected infrastructure-fault classes.
@@ -129,20 +129,6 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// A captured front-end trace (binary, fully validated decoder).
-    pub fn capture(trace: &CapturedTrace) -> Self {
-        let bytes = trace.to_bytes();
-        let pristine = bytes.clone();
-        Artifact {
-            name: "capture",
-            bytes,
-            decode: Box::new(move |b| match CapturedTrace::from_bytes(b) {
-                Ok(t) => Ok(t.to_bytes() == pristine),
-                Err(e) => Err(e.to_string()),
-            }),
-        }
-    }
-
     /// A schema-versioned JSON artifact: parse must succeed, the given
     /// validator must accept it, and re-rendering must reproduce the
     /// original text for the content to count as intact.

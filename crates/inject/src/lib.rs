@@ -14,7 +14,7 @@
 //!   right check, cross-checked in lockstep against `maps_oracle`'s
 //!   value-level BMT.
 //! * **Infrastructure faults** ([`infra`]) corrupt the bytes of result
-//!   artifacts (captures, manifests, checkpoints, serialized reports)
+//!   artifacts (manifests, checkpoints, serialized reports)
 //!   and fail writes at seeded offsets, asserting every consumer returns
 //!   a typed error — never panics, never silently accepts a torn file.
 //! * **Daemon-protocol faults** ([`farmd`]) attack the `maps-farmd` wire

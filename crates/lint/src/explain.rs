@@ -65,14 +65,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PERF-001" => {
             "PERF-001: observer trait impl methods must be #[inline].\n\
              \n\
-             MetricSink/MetaObserver callbacks run per event inside the\n\
-             replay loop, usually behind generics the optimizer can only\n\
-             flatten when the impl is marked #[inline] across crate\n\
-             boundaries (without it, no cross-crate inlining outside LTO\n\
-             builds).\n\
+             MetaObserver callbacks run per metadata access inside the\n\
+             batch kernel, behind generics the optimizer can only flatten\n\
+             when the impl is marked #[inline] across crate boundaries\n\
+             (without it, no cross-crate inlining outside LTO builds).\n\
              \n\
              example (flagged):\n\
-                 impl MetricSink for Counter { fn record(&mut self, …) {…} }\n\
+                 impl MetaObserver for Counter { fn observe(&mut self, …) {…} }\n\
              fix: add #[inline] to the method.\n"
         }
         "SAFE-001" => {
@@ -92,14 +91,19 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "PANIC-001" => {
             "PANIC-001: no unwrap/expect in the curated panic-free files.\n\
              \n\
-             A fixed list of hot-path files (engine, caches, policies) may not\n\
-             contain .unwrap()/.expect() at all, even unreachable ones: the\n\
-             token is a refactoring hazard and the typed-error alternative is\n\
-             always available.\n\
+             A fixed list of files may not contain .unwrap()/.expect(\"…\")\n\
+             outside tests, even unreachable ones. The list holds the\n\
+             decode/parse paths (the capture stream, checkpoints, frames,\n\
+             JSON, jobs, reports, traces, campaign documents), where bad input\n\
+             must never panic, and the tenant/randomized-cache isolation\n\
+             modules, whose checked constructors guard partitions in release\n\
+             builds. The token is a refactoring hazard and the typed-error\n\
+             alternative is always available.\n\
              \n\
-             example (flagged, in crates/cache/src/cache.rs):\n\
-                 let line = self.lines.get(i).unwrap();\n\
-             fix: return Option/Result, or restructure so the access is total.\n"
+             example (flagged, in crates/obs/src/checkpoint.rs):\n\
+                 let points = doc.get(\"points\").unwrap();\n\
+             fix: return a typed error (CodecError, JsonParseError,\n\
+             TraceIoError), or restructure so the access is total.\n"
         }
         "PANIC-002" => {
             "PANIC-002: no panic site reachable from the hot-path roots.\n\
@@ -179,6 +183,17 @@ mod tests {
                 "{id} explanation needs an example"
             );
         }
+    }
+
+    #[test]
+    fn panic001_example_is_flagged_at_the_path_it_names() {
+        let text = explain("PANIC-001").unwrap();
+        let (_, rest) = text.split_once("example (flagged, in ").unwrap();
+        let (path, rest) = rest.split_once("):\n").unwrap();
+        let (example, _) = rest.split_once("fix:").unwrap();
+        let d = crate::lint_source(path, example, &crate::Allowlist::empty());
+        assert_eq!(d.len(), 1, "{path}: {d:?}");
+        assert_eq!(d[0].rule, "PANIC-001");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `maps-lint`: the workspace invariant checker.
 //!
 //! The repo's headline guarantees — bit-identical capture/replay, a
-//! lockstep differential oracle, zero-cost `NullSink`/`NullObserver`
+//! lockstep differential oracle, zero-cost `NullObserver`
 //! instrumentation — rest on *source-level* invariants that no compiler
 //! pass enforces. This crate checks them mechanically in two layers:
 //!

@@ -4,7 +4,7 @@
 //! |-----------|--------------------------------------------------------------------|
 //! | DET-001   | No default-hasher `HashMap`/`HashSet` in deterministic crates      |
 //! | DET-002   | No wall clock / ambient randomness outside `maps-obs`/`maps-bench` |
-//! | PERF-001  | Every `MetricSink`/`MetaObserver` impl method carries `#[inline]`  |
+//! | PERF-001  | Every `MetaObserver` impl method carries `#[inline]`               |
 //! | SAFE-001  | `unsafe` only when allowlisted and `// SAFETY:`-annotated          |
 //! | PANIC-001 | No `unwrap`/`expect` in library decode/parse paths                 |
 //! | IO-001    | Result files only via the atomic-write helper in `maps-obs`        |
@@ -282,9 +282,9 @@ fn det_002(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
     }
 }
 
-/// PERF-001: sink/observer/batch-prefetcher impl methods must carry
-/// `#[inline]` — the batched replay hot loop calls the prefetcher once
-/// per event, so a non-inlined impl reintroduces per-event call overhead.
+/// PERF-001: `MetaObserver` impl methods must carry `#[inline]` — the
+/// batch kernel calls the observer once per metadata access, so a
+/// non-inlined impl reintroduces per-access call overhead.
 fn perf_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
     if !ctx.in_crate_src() {
         return;
@@ -321,10 +321,7 @@ fn perf_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
             }
             j += 1;
         }
-        let watched = is_trait_impl
-            && trait_path
-                .iter()
-                .any(|id| *id == "MetricSink" || *id == "MetaObserver");
+        let watched = is_trait_impl && trait_path.contains(&"MetaObserver");
         if !watched {
             i += 1;
             continue;
@@ -364,7 +361,7 @@ fn perf_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
                             message: format!(
                                 "`fn {name}` in an `impl {trait_name} for …` block lacks \
                                  `#[inline]`: the disabled-path zero-cost guarantee relies on \
-                                 every sink/observer method monomorphizing away"
+                                 every observer method monomorphizing away"
                             ),
                             chain: Vec::new(),
                         },
@@ -469,7 +466,7 @@ fn panic_001(ctx: &FileCtx, out: &mut Vec<RawDiag>) {
                     line: toks[i + 1].line,
                     message: format!(
                         "`.{}` in a decode/parse path: malformed input must surface as a \
-                         typed error (`CodecError`/`DecodeError`/`JsonParseError`/`TraceIoError`), \
+                         typed error (`CodecError`/`JsonParseError`/`TraceIoError`), \
                          not a panic",
                         if ctx.ident_at(i + 1, "unwrap") {
                             "unwrap()"
@@ -686,12 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn generic_bound_impls_are_not_sink_impls() {
+    fn generic_bound_impls_are_not_observer_impls() {
         let src = "
-            impl<S: MetricSink> Holder<S> {
-                fn not_a_sink_method(&self) {}
+            impl<O: MetaObserver> Holder<O> {
+                fn not_an_observer_method(&self) {}
             }
-            impl<S: MetricSink> OtherTrait for Holder<S> {
+            impl<O: MetaObserver> OtherTrait for Holder<O> {
                 fn also_fine(&self) {}
             }
         ";
@@ -699,9 +696,9 @@ mod tests {
     }
 
     #[test]
-    fn uninlined_sink_method_is_flagged_once_per_fn() {
+    fn uninlined_observer_method_is_flagged_once_per_fn() {
         let src = "
-            impl MetricSink for Thing {
+            impl MetaObserver for Thing {
                 #[inline]
                 fn a(&mut self) {}
                 fn b(&mut self) {}

@@ -1,10 +1,10 @@
-//! PERF-001 fixture: sink/observer impl methods without `#[inline]`.
+//! PERF-001 fixture: observer impl methods without `#[inline]`.
 //! Linted under `crates/sim/src/fixture.rs`; findings expected at lines
 //! 13 and 30 only — inlined methods, inherent impls, and impls that
-//! merely *bound* on the traits are all clean.
+//! merely *bound* on the trait are all clean.
 
 pub struct Probe;
-pub struct Holder<S>(S);
+pub struct Holder<O>(O);
 
 impl MetaObserver for Probe {
     #[inline]
@@ -20,12 +20,12 @@ impl Probe {
     pub fn reset(&mut self) {}
 }
 
-impl<S: MetricSink> Holder<S> {
-    pub fn get(&self) -> &S {
+impl<O: MetaObserver> Holder<O> {
+    pub fn get(&self) -> &O {
         &self.0
     }
 }
 
-impl MetricSink for Probe {
-    fn counter_add(&mut self, _name: &str, _delta: u64) {}
+impl MetaObserver for Holder<Probe> {
+    fn observe(&mut self, _access: &MetaAccess) {}
 }

@@ -98,7 +98,7 @@ fn perf001_fixture_flags_exactly_the_documented_lines() {
         "{d:#?}"
     );
     assert!(d[0].message.contains("walk_complete"));
-    assert!(d[1].message.contains("counter_add"));
+    assert!(d[1].message.contains("fn observe"));
 }
 
 #[test]

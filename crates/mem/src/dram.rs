@@ -86,7 +86,7 @@ impl DramCounters {
 
     /// Exports read/write transfer counts under `{prefix}.reads` and
     /// `{prefix}.writes`.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         sink.counter_add(&format!("{prefix}.reads"), self.reads);
         sink.counter_add(&format!("{prefix}.writes"), self.writes);
     }

@@ -92,7 +92,7 @@ impl EnergyDelay {
     /// Exports the breakdown under `{prefix}.*`: a cycle counter plus
     /// per-source energy gauges in picojoules (energy stays floating-point
     /// so sub-pJ SRAM contributions are not truncated away).
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         sink.counter_add(&format!("{prefix}.cycles"), self.cycles);
         sink.gauge_set(&format!("{prefix}.dram_pj"), self.dram_pj);
         sink.gauge_set(&format!("{prefix}.sram_pj"), self.sram_pj);

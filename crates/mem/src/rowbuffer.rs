@@ -138,7 +138,7 @@ impl RowBufferDram {
 
     /// Exports row-buffer behaviour under `{prefix}.row_buffer.*`:
     /// hit/miss/conflict counters plus the hit-ratio gauge.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         sink.counter_add(&format!("{prefix}.row_buffer.hits"), self.hits);
         sink.counter_add(&format!("{prefix}.row_buffer.misses"), self.misses);
         sink.counter_add(&format!("{prefix}.row_buffer.conflicts"), self.conflicts);

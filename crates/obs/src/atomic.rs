@@ -9,7 +9,7 @@
 //! filesystem.
 //!
 //! The one file updated in place is the checkpoint journal
-//! ([`crate::CheckpointJournal`]): [`DurableFile`] reopens a file that
+//! ([`crate::CheckpointJournal`]): `DurableFile` reopens a file that
 //! `write_atomic` published and appends to it or rewrites fixed-width
 //! bytes inside it, syncing each write before it returns. The journal's
 //! format, not a rename, is what keeps a torn update detectable there.

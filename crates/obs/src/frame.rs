@@ -11,8 +11,7 @@
 //! Decoding never panics and never blocks past the underlying reader:
 //! every malformed input — wrong magic, an oversized or truncated length,
 //! a payload cut mid-byte, invalid UTF-8, malformed JSON — surfaces as a
-//! typed [`CodecError`], mirroring the hardened `read_varint` discipline
-//! of the trace codec. A *clean* EOF at a frame boundary is not an error:
+//! typed [`CodecError`]. A *clean* EOF at a frame boundary is not an error:
 //! [`read_frame`] returns `Ok(None)`, so stream consumers can tell an
 //! orderly shutdown from a torn one.
 

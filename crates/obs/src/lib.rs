@@ -9,11 +9,6 @@
 //! * [`Metrics`] — named counters, gauges, and fixed-log₂-bucket
 //!   [`Histogram`]s with deterministic (sorted) iteration order and a
 //!   `merge` operation, so parallel sweep workers can aggregate.
-//! * [`MetricSink`] — the push-side trait with an inert [`NullSink`].
-//!   Instrumented code is generic over the sink and monomorphizes; with
-//!   `NullSink` every recording call compiles to nothing, mirroring the
-//!   `MetaObserver`/`NullObserver` pattern `maps-sim` already uses on its
-//!   hot path. That is the disabled-path guarantee: not "cheap", *absent*.
 //! * [`Phases`] — scoped wall-clock phase timers with nesting
 //!   (`capture/record`, `sweep/replay`, …).
 //! * [`Json`] / [`Manifest`] — a dependency-free JSON value type (writer
@@ -28,25 +23,9 @@
 //!   interrupted figure run resume bit-identically.
 //!
 //! Nothing in this crate feeds back into simulation state, so instrumented
-//! runs are bit-identical to bare runs by construction.
-//!
-//! # Examples
-//!
-//! ```
-//! use maps_obs::{Metrics, MetricSink};
-//!
-//! fn hot_loop<S: MetricSink>(sink: &mut S) {
-//!     for i in 0..100u64 {
-//!         sink.counter_add("loop.iterations", 1);
-//!         sink.hist_record("loop.value", i);
-//!     }
-//! }
-//!
-//! let mut m = Metrics::new();
-//! hot_loop(&mut m); // recording sink
-//! assert_eq!(m.counter_value("loop.iterations"), 100);
-//! hot_loop(&mut maps_obs::NullSink); // compiles to an empty loop
-//! ```
+//! runs are bit-identical to bare runs by construction. Model types export
+//! their statistics into a [`Metrics`] only after a run finishes, and only
+//! when metrics are enabled, so a run with metrics off records nothing.
 
 pub mod atomic;
 pub mod checkpoint;
@@ -55,7 +34,6 @@ pub mod frame;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod sink;
 pub mod timer;
 
 pub use atomic::write_atomic;
@@ -65,5 +43,4 @@ pub use frame::{read_frame, write_frame, FRAME_MAGIC, MAX_FRAME_BYTES};
 pub use json::{Json, JsonParseError};
 pub use manifest::{git_describe, validate_manifest, Manifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics};
-pub use sink::{MetricSink, NullSink};
 pub use timer::{PhaseGuard, Phases};

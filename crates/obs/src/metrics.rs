@@ -454,6 +454,19 @@ mod tests {
     }
 
     #[test]
+    fn metrics_hist_merge_is_exact() {
+        let mut src = Histogram::new();
+        src.record(5);
+        src.record(1000);
+        let mut m = Metrics::new();
+        m.hist_merge("h", &src);
+        let h = m.histogram("h").unwrap();
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.max(), 1000);
+        assert_eq!(h.sum(), 1005);
+    }
+
+    #[test]
     fn counters_accumulate_and_merge() {
         let mut a = Metrics::new();
         let mut b = Metrics::new();

@@ -92,11 +92,6 @@ impl SecureConfig {
         self.memory_bytes / BLOCK_BYTES
     }
 
-    /// Number of 4 KB data pages protected.
-    pub const fn data_pages(&self) -> u64 {
-        self.memory_bytes / PAGE_BYTES
-    }
-
     /// Number of 64 B counter blocks required.
     pub const fn counter_blocks(&self) -> u64 {
         self.data_blocks()

@@ -165,7 +165,7 @@ impl CounterStore {
     /// Exports write and overflow totals under `{prefix}.writes` and
     /// `{prefix}.overflows` (each overflow is a whole-page re-encryption,
     /// the cost Section III-B charges against split counters).
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         sink.counter_add(&format!("{prefix}.writes"), self.writes);
         sink.counter_add(&format!("{prefix}.overflows"), self.overflows);
     }

@@ -1,7 +1,5 @@
 //! Property tests for the secure-memory layout and counter state.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps_secure::{CounterMode, CounterStore, Layout, SecureConfig, WriteOutcome};
 use maps_trace::{BlockAddr, BlockKind};
 use proptest::prelude::*;

@@ -118,7 +118,7 @@ impl EngineStats {
     /// Exports the full engine accounting under `{prefix}.*`: the per-kind
     /// metadata cache buckets, both DRAM channels, and the scalar engine
     /// counters. Pull-based — called once at snapshot time.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         self.meta.export(&format!("{prefix}.meta"), sink);
         self.dram_data.export(&format!("{prefix}.dram.data"), sink);
         self.dram_meta.export(&format!("{prefix}.dram.meta"), sink);

@@ -62,7 +62,7 @@ impl HierarchyStats {
     }
 
     /// Exports the front-end counters under `{prefix}.*`.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         for (name, value) in [
             ("accesses", self.accesses),
             ("instructions", self.instructions),

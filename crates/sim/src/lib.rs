@@ -39,8 +39,8 @@ pub mod report;
 pub mod sim;
 
 pub use capture::{
-    CaptureLoadError, CapturedEvent, CapturedTrace, DecodeError, EventCursor, FrontEndKey,
-    ReplaySim, TraceBuilder, DEFAULT_BATCH_EVENTS, MAX_BATCH_EVENTS,
+    CapturedEvent, CapturedTrace, EventCursor, FrontEndKey, ReplaySim, TraceBuilder,
+    DEFAULT_BATCH_EVENTS, MAX_BATCH_EVENTS,
 };
 pub use config::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
 pub use engine::{EngineStats, MetaObserver, MetadataEngine, NullObserver, RecordingObserver};

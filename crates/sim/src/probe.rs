@@ -1,9 +1,9 @@
 //! Metrics-collecting engine observer.
 //!
-//! [`MetricsProbe`] implements [`MetaObserver`](crate::engine::MetaObserver)
-//! with flat fixed-size arrays on the hot path — no string formatting, no
-//! map lookups — and converts to a named [`maps_obs::Metrics`] snapshot
-//! only at [`MetricsProbe::export`] time. Because it observes the engine
+//! [`MetricsProbe`] implements [`MetaObserver`] with flat fixed-size
+//! arrays on the hot path — no string formatting, no map lookups — and
+//! converts to a named [`maps_obs::Metrics`] snapshot only at
+//! [`MetricsProbe::export`] time. Because it observes the engine
 //! through the same hooks `NullObserver` compiles away, attaching it
 //! cannot change simulation outcomes, only record them; the
 //! instrumented-replay-equivalence test pins that property.
@@ -81,7 +81,7 @@ impl MetricsProbe {
     ///
     /// Zero counters are skipped so snapshots stay proportional to what
     /// the run actually exercised.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         const KIND_NAMES: [&str; 4] = ["data", "counter", "hash", "tree"];
         for (name, (&reads, &writes)) in KIND_NAMES
             .iter()

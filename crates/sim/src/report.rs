@@ -385,7 +385,7 @@ impl SimReport {
 
     /// Exports the whole report under `{prefix}.*`: hierarchy and engine
     /// counters, energy, and the headline derived figures as gauges.
-    pub fn export<S: maps_obs::MetricSink>(&self, prefix: &str, sink: &mut S) {
+    pub fn export(&self, prefix: &str, sink: &mut maps_obs::Metrics) {
         sink.counter_add(&format!("{prefix}.instructions"), self.instructions);
         sink.counter_add(&format!("{prefix}.cycles"), self.cycles);
         self.hierarchy.export(&format!("{prefix}.hierarchy"), sink);

@@ -2,8 +2,6 @@
 //! sequences must round-trip through [`TraceBuilder`] →
 //! [`CapturedTrace::events`] exactly, for any warm-up boundary placement.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps_sim::{CapturedEvent, FrontEndKey, MemEvent, SimConfig, TraceBuilder};
 use maps_trace::{BlockAddr, TenantId};
 use proptest::prelude::*;

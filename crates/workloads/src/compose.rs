@@ -1,5 +1,4 @@
-//! Workload composition: probabilistic mixes, phase alternation, and
-//! multi-tenant scheduling.
+//! Workload composition: phase alternation and multi-tenant scheduling.
 //!
 //! Section V-C motivates dynamic partitioning with "applications
 //! requirements evolve throughout its execution"; these combinators build
@@ -13,81 +12,9 @@
 //! and tagging every access with the issuing [`TenantId`] so the metadata
 //! cache can attribute occupancy and misses per tenant.
 
-use maps_trace::rng::SmallRng;
 use maps_trace::{MemAccess, PhysAddr, TenantId, PAGE_BYTES};
 
 use crate::Workload;
-
-/// Interleaves two workloads, drawing from the first with probability `p`.
-///
-/// Each sub-workload keeps its own address space position; the mix's
-/// footprint is the larger of the two (the address spaces overlap, which
-/// models two data structures sharing a heap).
-///
-/// # Examples
-///
-/// ```
-/// use maps_workloads::{Benchmark, MixWorkload, Workload};
-/// let mut mix = MixWorkload::new(
-///     Benchmark::Libquantum.build(1),
-///     Benchmark::Gups.build(2),
-///     0.7,
-///     3,
-/// );
-/// let a = mix.next_access();
-/// assert!(a.addr.bytes() < mix.footprint_bytes());
-/// ```
-pub struct MixWorkload {
-    first: Box<dyn Workload>,
-    second: Box<dyn Workload>,
-    p_first: f64,
-    rng: SmallRng,
-}
-
-impl MixWorkload {
-    /// Creates the mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_first` is outside `[0, 1]`.
-    pub fn new(
-        first: Box<dyn Workload>,
-        second: Box<dyn Workload>,
-        p_first: f64,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_first),
-            "mix probability outside [0, 1]"
-        );
-        Self {
-            first,
-            second,
-            p_first,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Workload for MixWorkload {
-    fn next_access(&mut self) -> MemAccess {
-        if self.rng.gen_bool(self.p_first) {
-            self.first.next_access()
-        } else {
-            self.second.next_access()
-        }
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.first
-            .footprint_bytes()
-            .max(self.second.footprint_bytes())
-    }
-
-    fn name(&self) -> &'static str {
-        "mix"
-    }
-}
 
 /// Alternates between two workloads in fixed-length phases.
 ///
@@ -243,11 +170,6 @@ impl TenantMix {
         }
     }
 
-    /// Number of tenants in the mix.
-    pub fn tenant_count(&self) -> usize {
-        self.parts.len()
-    }
-
     /// The physical region `[base, base + len)` tenant `t` was placed in.
     pub fn region_of(&self, t: u8) -> (u64, u64) {
         let i = usize::from(t);
@@ -290,46 +212,9 @@ impl Workload for TenantMix {
 mod tests {
     use super::*;
     use crate::{Benchmark, StreamGen};
-    use maps_trace::TraceStats;
 
     fn stream(seed: u64, footprint: u64) -> Box<dyn Workload> {
         Box::new(StreamGen::new("s", seed, footprint, 1, 0.0, 4))
-    }
-
-    #[test]
-    fn mix_draws_from_both() {
-        // Distinguish sources by footprint: the small stream only touches
-        // low addresses.
-        let mut mix = MixWorkload::new(stream(1, 64 * 64), stream(2, 1 << 20), 0.5, 7);
-        let mut low = 0;
-        let mut high = 0;
-        for _ in 0..4000 {
-            let a = mix.next_access();
-            if a.addr.bytes() < 64 * 64 {
-                low += 1;
-            } else {
-                high += 1;
-            }
-        }
-        assert!(low > 500, "first workload starved: {low}");
-        assert!(high > 500, "second workload starved: {high}");
-    }
-
-    #[test]
-    fn mix_probability_is_respected() {
-        let mut mix = MixWorkload::new(stream(1, 64 * 64), stream(2, 1 << 24), 0.9, 3);
-        let mut stats = TraceStats::new();
-        let mut first = 0u64;
-        for _ in 0..20_000 {
-            let a = mix.next_access();
-            stats.record(&a);
-            // Second stream quickly leaves the small region.
-            if a.addr.bytes() < 64 * 64 {
-                first += 1;
-            }
-        }
-        let frac = first as f64 / 20_000.0;
-        assert!((frac - 0.9).abs() < 0.05, "first fraction {frac}");
     }
 
     #[test]
@@ -358,12 +243,6 @@ mod tests {
             let a = phased.next_access();
             assert!(a.addr.bytes() < phased.footprint_bytes());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_mix_probability_rejected() {
-        MixWorkload::new(stream(1, 4096), stream(2, 4096), 1.5, 1);
     }
 
     #[test]

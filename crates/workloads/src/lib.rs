@@ -35,7 +35,7 @@ pub mod replay;
 pub use maps_trace::rng;
 
 pub use adversarial::{CascadeDeepGen, OccupancyProbe, OverflowHeavyGen, PartitionBoundaryGen};
-pub use compose::{MixWorkload, PhasedWorkload, TenantMix, TenantSchedule};
+pub use compose::{PhasedWorkload, TenantMix, TenantSchedule};
 pub use engines::{
     FftGen, HotColdGen, PointerChaseGen, RandomGen, StencilGen, StreamGen, TiledPassGen,
     TreeWalkGen, Workload,

@@ -1,7 +1,5 @@
 //! Property tests for the workload generators.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps_trace::TraceStats;
 use maps_workloads::{Benchmark, RandomGen, StreamGen, Workload};
 use proptest::prelude::*;

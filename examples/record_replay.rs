@@ -6,7 +6,6 @@
 //!
 //! Run: `cargo run --release --example record_replay`
 
-use maps::analysis::LogHistogram;
 use maps::sim::{SecureSim, SimConfig};
 use maps::trace::{read_trace, write_trace};
 use maps::workloads::{Benchmark, ReplayWorkload, Workload};
@@ -42,16 +41,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.cycles,
         b.engine.dram_meta.total()
     );
-
-    // 3. Sketch the trace's block-distance profile (a quick locality look).
-    let mut hist = LogHistogram::new();
-    let mut last = 0u64;
-    for access in read_trace(&encoded[..])? {
-        let block = access.addr.block().index();
-        hist.record(block.abs_diff(last));
-        last = block;
-    }
-    println!("\nblock-stride histogram (log2 buckets, floor | count):");
-    print!("{}", hist.render(40));
     Ok(())
 }

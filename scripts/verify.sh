@@ -2,13 +2,9 @@
 # Repository verification gate: formatting, lints, build, tests, and the
 # figure binaries' --check claims. Fully offline (vendored deps only).
 #
-# Usage: scripts/verify.sh [--quick]
-#   --quick  skip the opt-in heavy property-test suite
+# Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-quick=0
-[[ "${1:-}" == "--quick" ]] && quick=1
 
 run() {
     echo "==> $*"
@@ -23,12 +19,6 @@ run cargo test -q --workspace
 # The debug-profile workspace run above skips #[cfg(not(debug_assertions))]
 # regression tests (release-mode partition clamping); run those here.
 run cargo test -q -p maps-cache --release release_
-if [[ $quick -eq 0 ]]; then
-    run cargo test -q --features heavy-tests
-    # Farm scheduling properties (fingerprint dedup, capture-cache
-    # differential) live behind the same opt-in feature.
-    run cargo test -q -p maps-farm --features heavy-tests
-fi
 
 # Claim checks on the two headline figures. fig1 is stable from 30k
 # accesses; fig2's qualitative claims (E-D^2 crossovers) need at least

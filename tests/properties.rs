@@ -1,7 +1,5 @@
 //! Cross-crate property-based tests (proptest) on the core invariants.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps::analysis::ReuseProfiler;
 use maps::cache::policy::{MinOracle, TrueLru};
 use maps::cache::{belady_misses, csopt_min_cost, CacheConfig, CostedAccess, SetAssocCache};

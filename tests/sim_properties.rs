@@ -1,8 +1,6 @@
 //! Property tests over the full simulation pipeline: conservation laws
 //! that must hold for any workload and configuration.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps::cache::Partition;
 use maps::sim::{
     CacheContents, MdcConfig, PartitionMode, PolicyChoice, RecordingObserver, SecureSim, SimConfig,

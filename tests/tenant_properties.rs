@@ -4,8 +4,6 @@
 //! mode; partitions must additionally bound each tenant's occupancy by
 //! its static share.
 
-#![cfg(feature = "heavy-tests")]
-
 use maps::cache::{CacheStats, TenantPartition};
 use maps::sim::{MdcConfig, MdcDesign, MetadataCache, PartitionMode, SecureSim, SimConfig};
 use maps::trace::{BlockKind, TenantId};
