@@ -135,7 +135,7 @@ impl RunContext {
 
     /// Records the simulation configuration the run centres on.
     pub fn set_config(&mut self, cfg: &SimConfig) -> &mut Self {
-        self.manifest.set_config(crate::wire::config_to_json(cfg));
+        self.manifest.set_config(cfg.to_json());
         self
     }
 

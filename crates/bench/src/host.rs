@@ -137,7 +137,7 @@ impl SimJob {
         } = self;
         format!(
             "cfg={};bench={};seed={};accesses={};kind={}",
-            crate::wire::config_to_json(cfg).to_compact(),
+            cfg.to_json().to_compact(),
             bench.name(),
             seed,
             accesses,

@@ -1,331 +1,32 @@
-//! The one [`SimConfig`] encoding, and the [`SimJob`] wire codec built on
-//! it.
+//! The [`SimJob`] wire codec: how the farm daemon ships a sweep point
+//! to a worker process and reads it back.
 //!
-//! A configuration is encoded here and nowhere else. Run manifests embed
-//! the encoding ([`crate::RunContext::set_config`]), [`SimJob::identity`]
-//! hashes it into every point fingerprint, and the farm daemon ships it
-//! to worker processes inside [`job_to_json`]. Every outcome-bearing field
-//! is written, so two configurations that can simulate differently never
-//! share a fingerprint, and a worker reconstructs the configuration
-//! *exactly*. Floats travel as raw IEEE-754 bits (`f64::to_bits`, the
-//! `SimReport` discipline), and every malformed document decodes to a
-//! typed [`CodecError`], never a panic, because the daemon feeds this
-//! decoder bytes that crossed a socket.
+//! A job is its key, benchmark, seed, access count and [`JobKind`], plus
+//! its configuration in the one [`SimConfig`] encoding
+//! ([`SimConfig::to_json`]). Every malformed document decodes to a typed
+//! [`CodecError`], never a panic, because the daemon feeds this decoder
+//! bytes that crossed a socket.
 //!
-//! Field coverage is checked by the compiler: each encoder destructures
-//! its struct without `..` and each decoder builds it with a literal that
-//! names every field, so a new field that no codec handles fails to build.
-//!
-//! The one deliberate hole: [`PolicyChoice::Min`]/[`PolicyChoice::TraceMin`]
-//! carry a recorded oracle trace that can run to millions of entries. The
-//! configuration encoding writes their name only. Farm jobs never carry
-//! them ([`JobKind::Min`]/[`JobKind::IterMin`] jobs build their oracle
-//! *inside* [`crate::exec_job`] from the captured trace), so
-//! [`job_to_json`] rejects them with a typed error instead of shipping a
-//! configuration the worker could not rebuild, and the decoder refuses
-//! their names.
+//! [`PolicyChoice::Min`]/[`PolicyChoice::TraceMin`] configurations carry a
+//! recorded oracle trace that the configuration encoding writes by name
+//! only. Farm jobs never carry them ([`JobKind::Min`]/[`JobKind::IterMin`]
+//! jobs build their oracle *inside* [`crate::exec_job`] from the captured
+//! trace), so [`job_to_json`] rejects them with a typed error instead of
+//! shipping a configuration the worker could not rebuild, and
+//! [`job_from_json`] refuses their names.
 
-use maps_mem::DramModel;
 use maps_obs::{CodecError, Json};
-use maps_secure::CounterMode;
-use maps_sim::{CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, SimConfig};
+use maps_sim::{PolicyChoice, SimConfig};
 use maps_workloads::Benchmark;
 
 use crate::host::{JobKind, SimJob};
 
-fn f64_bits(v: f64) -> Json {
-    Json::UInt(v.to_bits())
-}
-
-/// A policy by name plus its parameter; MIN oracle traces are written by
-/// name only (see the module docs).
-fn policy_to_json(policy: &PolicyChoice) -> Json {
-    let mut fields = vec![("name".to_string(), Json::Str(policy.name().into()))];
-    match policy {
-        PolicyChoice::Random(seed) => fields.push(("seed".into(), Json::UInt(*seed))),
-        PolicyChoice::CostAware(cost) => fields.push(("cost".into(), Json::UInt(*cost))),
-        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_) => {}
-        PolicyChoice::PseudoLru
-        | PolicyChoice::TrueLru
-        | PolicyChoice::Fifo
-        | PolicyChoice::Srrip
-        | PolicyChoice::Eva
-        | PolicyChoice::Drrip
-        | PolicyChoice::EvaPerType => {}
-    }
-    Json::Obj(fields)
-}
-
-fn policy_from_json(doc: &Json) -> Result<PolicyChoice, CodecError> {
-    let name = doc.str_field("name")?;
-    Ok(match name {
-        "pseudo-lru" => PolicyChoice::PseudoLru,
-        "true-lru" => PolicyChoice::TrueLru,
-        "fifo" => PolicyChoice::Fifo,
-        "random" => PolicyChoice::Random(doc.u64_field("seed")?),
-        "srrip" => PolicyChoice::Srrip,
-        "eva" => PolicyChoice::Eva,
-        "cost-aware" => PolicyChoice::CostAware(doc.u64_field("cost")?),
-        "drrip" => PolicyChoice::Drrip,
-        "eva-per-type" => PolicyChoice::EvaPerType,
-        other => {
-            return Err(CodecError::invalid(
-                "cfg.mdc.policy.name",
-                format!("unknown or non-wire policy '{other}'"),
-            ))
-        }
-    })
-}
-
-fn partition_to_json(partition: &PartitionMode) -> Json {
-    match partition {
-        PartitionMode::None => Json::Obj(vec![("mode".into(), Json::Str("none".into()))]),
-        PartitionMode::Static(p) => Json::Obj(vec![
-            ("mode".into(), Json::Str("static".into())),
-            (
-                "counter_ways".into(),
-                Json::UInt(p.counter_way_count() as u64),
-            ),
-        ]),
-        PartitionMode::Dynamic {
-            a,
-            b,
-            leaders_per_side,
-        } => Json::Obj(vec![
-            ("mode".into(), Json::Str("dynamic".into())),
-            (
-                "a_counter_ways".into(),
-                Json::UInt(a.counter_way_count() as u64),
-            ),
-            (
-                "b_counter_ways".into(),
-                Json::UInt(b.counter_way_count() as u64),
-            ),
-            (
-                "leaders_per_side".into(),
-                Json::UInt(*leaders_per_side as u64),
-            ),
-        ]),
-        PartitionMode::PerTenant { tenants } => Json::Obj(vec![
-            ("mode".into(), Json::Str("per-tenant".into())),
-            ("tenants".into(), Json::UInt(*tenants as u64)),
-        ]),
-    }
-}
-
-/// Rebuilds a [`maps_cache::Partition`] from its counter-way count; the
-/// total way count comes from the surrounding `mdc.ways`.
-fn partition_ways(
-    counter_ways: usize,
-    ways: usize,
-    field: &'static str,
-) -> Result<maps_cache::Partition, CodecError> {
-    maps_cache::Partition::new(counter_ways, ways)
-        .map_err(|e| CodecError::invalid(field, e.to_string()))
-}
-
-fn partition_from_json(doc: &Json, ways: usize) -> Result<PartitionMode, CodecError> {
-    Ok(match doc.str_field("mode")? {
-        "none" => PartitionMode::None,
-        "static" => PartitionMode::Static(partition_ways(
-            doc.usize_field("counter_ways")?,
-            ways,
-            "cfg.mdc.partition.counter_ways",
-        )?),
-        "dynamic" => PartitionMode::Dynamic {
-            a: partition_ways(
-                doc.usize_field("a_counter_ways")?,
-                ways,
-                "cfg.mdc.partition.a_counter_ways",
-            )?,
-            b: partition_ways(
-                doc.usize_field("b_counter_ways")?,
-                ways,
-                "cfg.mdc.partition.b_counter_ways",
-            )?,
-            leaders_per_side: doc.usize_field("leaders_per_side")?,
-        },
-        "per-tenant" => PartitionMode::PerTenant {
-            tenants: doc.usize_field("tenants")?,
-        },
-        other => {
-            return Err(CodecError::invalid(
-                "cfg.mdc.partition.mode",
-                format!("unknown mode '{other}'"),
-            ))
-        }
-    })
-}
-
-fn design_to_json(design: &MdcDesign) -> Json {
-    let mut fields = vec![("kind".to_string(), Json::Str(design.name().into()))];
-    match design {
-        MdcDesign::SetAssoc => {}
-        MdcDesign::Randomized { seed } => fields.push(("seed".into(), Json::UInt(*seed))),
-    }
-    Json::Obj(fields)
-}
-
-fn design_from_json(doc: &Json) -> Result<MdcDesign, CodecError> {
-    Ok(match doc.str_field("kind")? {
-        "set-assoc" => MdcDesign::SetAssoc,
-        "randomized" => MdcDesign::Randomized {
-            seed: doc.u64_field("seed")?,
-        },
-        other => {
-            return Err(CodecError::invalid(
-                "cfg.mdc.design.kind",
-                format!("unknown kind '{other}'"),
-            ))
-        }
-    })
-}
-
-fn mdc_to_json(mdc: &MdcConfig) -> Json {
-    let MdcConfig {
-        size_bytes,
-        ways,
-        contents,
-        policy,
-        partition,
-        partial_writes,
-        design,
-    } = mdc;
-    let CacheContents {
-        counters,
-        hashes,
-        tree,
-    } = contents;
-    let contents = Json::Obj(vec![
-        ("counters".into(), Json::Bool(*counters)),
-        ("hashes".into(), Json::Bool(*hashes)),
-        ("tree".into(), Json::Bool(*tree)),
-    ]);
-    Json::Obj(vec![
-        ("size_bytes".into(), Json::UInt(*size_bytes)),
-        ("ways".into(), Json::UInt(*ways as u64)),
-        ("contents".into(), contents),
-        ("policy".into(), policy_to_json(policy)),
-        ("partition".into(), partition_to_json(partition)),
-        ("partial_writes".into(), Json::Bool(*partial_writes)),
-        ("design".into(), design_to_json(design)),
-    ])
-}
-
-fn dram_to_json(dram: &DramModel) -> Json {
-    let DramModel {
-        latency_cycles,
-        energy_per_bit_pj,
-        background_pj_per_cycle,
-    } = dram;
-    Json::Obj(vec![
-        ("latency_cycles".into(), Json::UInt(*latency_cycles)),
-        (
-            "energy_per_bit_pj_bits".into(),
-            f64_bits(*energy_per_bit_pj),
-        ),
-        (
-            "background_pj_per_cycle_bits".into(),
-            f64_bits(*background_pj_per_cycle),
-        ),
-    ])
-}
-
-/// Encodes a configuration: the manifest `config` block, the text every
-/// point fingerprint hashes, and the `cfg` of a worker job. Lossless but
-/// for MIN oracle traces, which are written by name only.
-pub(crate) fn config_to_json(cfg: &SimConfig) -> Json {
-    let SimConfig {
-        l1_bytes,
-        l1_ways,
-        l2_bytes,
-        l2_ways,
-        llc_bytes,
-        llc_ways,
-        memory_bytes,
-        counter_mode,
-        mdc,
-        dram,
-        hash_latency,
-        speculation,
-        speculation_window,
-        secure,
-        warmup_fraction,
-    } = cfg;
-    let counter_mode = match counter_mode {
-        CounterMode::SplitPi => "split-pi",
-        CounterMode::SgxMonolithic => "sgx-monolithic",
-    };
-    Json::Obj(vec![
-        ("l1_bytes".into(), Json::UInt(*l1_bytes)),
-        ("l1_ways".into(), Json::UInt(*l1_ways as u64)),
-        ("l2_bytes".into(), Json::UInt(*l2_bytes)),
-        ("l2_ways".into(), Json::UInt(*l2_ways as u64)),
-        ("llc_bytes".into(), Json::UInt(*llc_bytes)),
-        ("llc_ways".into(), Json::UInt(*llc_ways as u64)),
-        ("memory_bytes".into(), Json::UInt(*memory_bytes)),
-        ("counter_mode".into(), Json::Str(counter_mode.into())),
-        ("mdc".into(), mdc_to_json(mdc)),
-        ("dram".into(), dram_to_json(dram)),
-        ("hash_latency".into(), Json::UInt(*hash_latency)),
-        ("speculation".into(), Json::Bool(*speculation)),
-        ("speculation_window".into(), Json::UInt(*speculation_window)),
-        ("secure".into(), Json::Bool(*secure)),
-        ("warmup_fraction_bits".into(), f64_bits(*warmup_fraction)),
-    ])
-}
-
-fn config_from_json(doc: &Json) -> Result<SimConfig, CodecError> {
-    let mdc_doc = doc.field("mdc")?;
-    let contents_doc = mdc_doc.field("contents")?;
-    let contents = CacheContents {
-        counters: contents_doc.bool_field("counters")?,
-        hashes: contents_doc.bool_field("hashes")?,
-        tree: contents_doc.bool_field("tree")?,
-    };
-    let ways = mdc_doc.usize_field("ways")?;
-    let mdc = MdcConfig {
-        size_bytes: mdc_doc.u64_field("size_bytes")?,
-        ways,
-        contents,
-        policy: policy_from_json(mdc_doc.field("policy")?)?,
-        partition: partition_from_json(mdc_doc.field("partition")?, ways)?,
-        partial_writes: mdc_doc.bool_field("partial_writes")?,
-        design: design_from_json(mdc_doc.field("design")?)?,
-    };
-    let counter_mode = match doc.str_field("counter_mode")? {
-        "split-pi" => CounterMode::SplitPi,
-        "sgx-monolithic" => CounterMode::SgxMonolithic,
-        other => {
-            return Err(CodecError::invalid(
-                "cfg.counter_mode",
-                format!("unknown mode '{other}'"),
-            ))
-        }
-    };
-    let dram_doc = doc.field("dram")?;
-    let dram = DramModel {
-        latency_cycles: dram_doc.u64_field("latency_cycles")?,
-        energy_per_bit_pj: dram_doc.f64_bits_field("energy_per_bit_pj_bits")?,
-        background_pj_per_cycle: dram_doc.f64_bits_field("background_pj_per_cycle_bits")?,
-    };
-    Ok(SimConfig {
-        l1_bytes: doc.u64_field("l1_bytes")?,
-        l1_ways: doc.usize_field("l1_ways")?,
-        l2_bytes: doc.u64_field("l2_bytes")?,
-        l2_ways: doc.usize_field("l2_ways")?,
-        llc_bytes: doc.u64_field("llc_bytes")?,
-        llc_ways: doc.usize_field("llc_ways")?,
-        memory_bytes: doc.u64_field("memory_bytes")?,
-        counter_mode,
-        mdc,
-        dram,
-        hash_latency: doc.u64_field("hash_latency")?,
-        speculation: doc.bool_field("speculation")?,
-        speculation_window: doc.u64_field("speculation_window")?,
-        secure: doc.bool_field("secure")?,
-        warmup_fraction: doc.f64_bits_field("warmup_fraction_bits")?,
-    })
+/// Whether the policy embeds a MIN oracle trace, which jobs do not carry.
+fn embeds_oracle(cfg: &SimConfig) -> bool {
+    matches!(
+        cfg.mdc.policy,
+        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_)
+    )
 }
 
 fn kind_to_json(kind: &JobKind) -> Json {
@@ -378,10 +79,7 @@ pub fn job_to_json(job: &SimJob) -> Result<Json, CodecError> {
         accesses,
         kind,
     } = job;
-    if matches!(
-        cfg.mdc.policy,
-        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_)
-    ) {
+    if embeds_oracle(cfg) {
         return Err(CodecError::Unsupported(format!(
             "policy '{}' embeds an oracle trace; MIN points ship as JobKind::Min and \
              rebuild the oracle worker-side",
@@ -394,13 +92,13 @@ pub fn job_to_json(job: &SimJob) -> Result<Json, CodecError> {
         ("seed".into(), Json::UInt(*seed)),
         ("accesses".into(), Json::UInt(*accesses)),
         ("kind".into(), kind_to_json(kind)),
-        ("cfg".into(), config_to_json(cfg)),
+        ("cfg".into(), cfg.to_json()),
     ]))
 }
 
 /// Decodes a job from the worker wire. Total: every malformed document —
-/// wrong types, missing fields, unknown names, invalid partitions — is a
-/// typed [`CodecError`], never a panic.
+/// wrong types, missing fields, unknown names, invalid partitions, MIN
+/// policies — is a typed [`CodecError`], never a panic.
 ///
 /// # Errors
 ///
@@ -409,9 +107,20 @@ pub fn job_from_json(doc: &Json) -> Result<SimJob, CodecError> {
     let bench_name = doc.str_field("bench")?;
     let bench = Benchmark::from_name(bench_name)
         .ok_or_else(|| CodecError::invalid("bench", format!("unknown benchmark '{bench_name}'")))?;
+    let key = doc.str_field("key")?.to_string();
+    let cfg = SimConfig::from_json(doc.field("cfg")?)?;
+    if embeds_oracle(&cfg) {
+        return Err(CodecError::invalid(
+            "cfg.mdc.policy.name",
+            format!(
+                "policy '{}' needs an oracle trace, which jobs do not carry",
+                cfg.mdc.policy.name()
+            ),
+        ));
+    }
     Ok(SimJob {
-        key: doc.str_field("key")?.to_string(),
-        cfg: config_from_json(doc.field("cfg")?)?,
+        key,
+        cfg,
         bench,
         seed: doc.u64_field("seed")?,
         accesses: doc.u64_field("accesses")?,
@@ -423,6 +132,7 @@ pub fn job_from_json(doc: &Json) -> Result<SimJob, CodecError> {
 mod tests {
     use super::*;
     use maps_cache::Partition;
+    use maps_sim::{MdcDesign, PartitionMode};
 
     fn exotic_config() -> SimConfig {
         let mut cfg = SimConfig::paper_default();
@@ -517,7 +227,7 @@ mod tests {
             )
         );
         // Manifests embed, and point fingerprints hash, the same text.
-        assert_eq!(config_to_json(&job.cfg).to_compact(), CFG);
+        assert_eq!(job.cfg.to_json().to_compact(), CFG);
         assert_eq!(
             job.identity(),
             format!("cfg={CFG};bench=mcf;seed=7;accesses=20000;kind=itermin3")
@@ -598,7 +308,7 @@ mod tests {
         if let Json::Obj(fields) = &mut doc {
             for (k, v) in fields.iter_mut() {
                 if k == "cfg" {
-                    *v = config_to_json(&min);
+                    *v = min.to_json();
                 }
             }
         }
@@ -609,6 +319,39 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn starving_tenant_splits_are_typed_errors() {
+        let decode = |tenants: usize, design: MdcDesign| {
+            let mut cfg = SimConfig::paper_default();
+            cfg.mdc = cfg
+                .mdc
+                .with_partition(PartitionMode::PerTenant { tenants })
+                .with_design(design);
+            let job = SimJob::replay("t", cfg, Benchmark::Gups, 100);
+            job_from_json(&job_to_json(&job).expect("encodable"))
+        };
+        let randomized = MdcDesign::Randomized { seed: 5 };
+        for (tenants, design) in [
+            (0, MdcDesign::SetAssoc),
+            (9, MdcDesign::SetAssoc),
+            (0, randomized),
+        ] {
+            assert!(
+                matches!(
+                    decode(tenants, design),
+                    Err(CodecError::Invalid {
+                        field: "cfg.mdc.partition.tenants",
+                        ..
+                    })
+                ),
+                "{tenants} tenants over 8 ways of {design:?}"
+            );
+        }
+        // Quotas, not way ranges: any positive count fits a randomized cache.
+        assert!(decode(9, randomized).is_ok());
+        assert!(decode(8, MdcDesign::SetAssoc).is_ok());
     }
 
     #[test]

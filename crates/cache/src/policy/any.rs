@@ -3,8 +3,7 @@
 use maps_trace::BlockKind;
 
 use super::{
-    CostAware, Drrip, Eva, EvaPerType, Fifo, MinOracle, Policy, RandomEvict, Srrip, TraceMin,
-    TreePlru, TrueLru,
+    CostAware, Drrip, Eva, Fifo, MinOracle, Policy, RandomEvict, Srrip, TraceMin, TreePlru, TrueLru,
 };
 use crate::line::SetView;
 use crate::Line;
@@ -40,7 +39,7 @@ pub enum AnyPolicy {
     Random(RandomEvict),
     /// SRRIP.
     Srrip(Srrip),
-    /// EVA.
+    /// EVA, with one age histogram or one per block kind.
     Eva(Eva),
     /// Belady MIN with a divergence-tolerant keyed oracle.
     Min(MinOracle),
@@ -50,8 +49,6 @@ pub enum AnyPolicy {
     CostAware(CostAware),
     /// DRRIP (dynamic re-reference interval prediction).
     Drrip(Drrip),
-    /// EVA with per-metadata-type histograms.
-    EvaPerType(EvaPerType),
 }
 
 impl AnyPolicy {
@@ -109,7 +106,7 @@ impl AnyPolicy {
     /// EVA with one histogram per metadata type (tests the paper's
     /// diagnosis that the single histogram is EVA's weakness).
     pub fn eva_per_type() -> Self {
-        AnyPolicy::EvaPerType(EvaPerType::new())
+        AnyPolicy::Eva(Eva::per_type())
     }
 
     /// Whether this policy is a Mattson stack algorithm: for a fixed set
@@ -135,7 +132,6 @@ macro_rules! delegate {
             AnyPolicy::TraceMin($p) => $body,
             AnyPolicy::CostAware($p) => $body,
             AnyPolicy::Drrip($p) => $body,
-            AnyPolicy::EvaPerType($p) => $body,
         }
     };
 }

@@ -9,7 +9,6 @@ mod any;
 mod cost_aware;
 mod drrip;
 mod eva;
-mod eva_per_type;
 mod fifo;
 mod min;
 mod plru;
@@ -22,7 +21,6 @@ pub use any::AnyPolicy;
 pub use cost_aware::CostAware;
 pub use drrip::Drrip;
 pub use eva::Eva;
-pub use eva_per_type::EvaPerType;
 pub use fifo::Fifo;
 pub use min::MinOracle;
 pub use plru::TreePlru;

@@ -1,7 +1,7 @@
 //! `maps-farmd` — the supervised sweep-campaign daemon.
 //!
 //! ```text
-//! USAGE: maps-farmd --socket <path> [--workers N] [--respawn-limit N]
+//! USAGE: maps-farmd --socket <path> [--workers N]
 //!        maps-farmd --worker
 //! ```
 //!
@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use maps_farm::{serve, DaemonConfig, FarmError};
 
-const USAGE: &str = "maps-farmd --socket <path> [--workers N] [--respawn-limit N] | --worker";
+const USAGE: &str = "maps-farmd --socket <path> [--workers N] | --worker";
 
 fn parsed<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, FarmError> {
     value
@@ -37,7 +37,6 @@ fn run() -> Result<(), FarmError> {
 
     let mut socket: Option<PathBuf> = None;
     let mut workers: Option<usize> = None;
-    let mut respawn_limit: Option<u32> = None;
     while !args.is_empty() {
         let flag = args.remove(0);
         let mut value = |name: &str| -> Result<String, FarmError> {
@@ -50,9 +49,6 @@ fn run() -> Result<(), FarmError> {
         match flag.as_str() {
             "--socket" => socket = Some(PathBuf::from(value("--socket")?)),
             "--workers" => workers = Some(parsed("--workers", &value("--workers")?)?),
-            "--respawn-limit" => {
-                respawn_limit = Some(parsed("--respawn-limit", &value("--respawn-limit")?)?)
-            }
             other => return Err(FarmError::Usage(format!("unknown argument {other:?}"))),
         }
     }
@@ -60,9 +56,6 @@ fn run() -> Result<(), FarmError> {
     let mut cfg = DaemonConfig::new(socket);
     if let Some(workers) = workers {
         cfg.workers = workers.max(1);
-    }
-    if let Some(limit) = respawn_limit {
-        cfg.respawn_limit = limit;
     }
     serve(cfg)
 }

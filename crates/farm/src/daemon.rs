@@ -57,9 +57,10 @@ pub struct DaemonConfig {
     /// Silence budget per claimed point before a worker is declared
     /// wedged and killed.
     pub heartbeat_timeout: Duration,
-    /// Consecutive spawn failures before a worker slot retires.
-    pub respawn_limit: u32,
 }
+
+/// Consecutive spawn failures a worker slot survives; one more retires it.
+const RESPAWN_LIMIT: u32 = 3;
 
 impl DaemonConfig {
     /// A config with the given socket and environment-tunable defaults
@@ -75,7 +76,6 @@ impl DaemonConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             heartbeat_timeout: Duration::from_millis(timeout_ms),
-            respawn_limit: 3,
         }
     }
 }
@@ -676,7 +676,7 @@ impl Supervisor<'_> {
                     self.handle
                         .log
                         .push("worker-spawn-failed", &format!("slot {}: {why}", self.slot));
-                    if *spawn_failures > self.cfg.respawn_limit {
+                    if *spawn_failures > RESPAWN_LIMIT {
                         self.handle.log.push(
                             "worker-degraded",
                             &format!(

@@ -30,9 +30,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              vendored deterministic aliases in crates/trace/src/det.rs.\n\
              \n\
              example (flagged):\n\
-                 use std::collections::HashMap;   // in crates/sim\n\
+             \x20   use std::collections::HashMap;   // in crates/sim\n\
              fix:\n\
-                 use std::collections::BTreeMap;\n"
+             \x20   use std::collections::BTreeMap;\n"
         }
         "DET-002" => {
             "DET-002: no ambient clock or entropy outside the exempt crates.\n\
@@ -43,7 +43,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              counts as inputs.\n\
              \n\
              example (flagged, in crates/cache):\n\
-                 let t0 = Instant::now();\n\
+             \x20   let t0 = Instant::now();\n\
              fix: thread a counter or seed through the caller, or move the\n\
              timing into maps-obs/maps-bench.\n"
         }
@@ -58,7 +58,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              exempt-crate fn is flagged with the laundering chain.\n\
              \n\
              example (flagged, in crates/sim):\n\
-                 obs::phase_timer().add(\"walk\");   // add() reads Instant\n\
+             \x20   obs::phase_timer().add(\"walk\");   // add() reads Instant\n\
              fix: pass timings in from the harness, or keep the helper out of\n\
              the model crates' reach.\n"
         }
@@ -71,7 +71,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (without it, no cross-crate inlining outside LTO builds).\n\
              \n\
              example (flagged):\n\
-                 impl MetaObserver for Counter { fn observe(&mut self, …) {…} }\n\
+             \x20   impl MetaObserver for Counter { fn observe(&mut self, …) {…} }\n\
              fix: add #[inline] to the method.\n"
         }
         "SAFE-001" => {
@@ -84,7 +84,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              entry) and carry its justification in the source.\n\
              \n\
              example (flagged):\n\
-                 unsafe { std::mem::transmute(x) }\n\
+             \x20   unsafe { std::mem::transmute(x) }\n\
              fix: add // SAFETY: … above the block and an allowlist entry, or\n\
              rewrite in safe Rust.\n"
         }
@@ -94,14 +94,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              A fixed list of files may not contain .unwrap()/.expect(\"…\")\n\
              outside tests, even unreachable ones. The list holds the\n\
              decode/parse paths (the capture stream, checkpoints, frames,\n\
-             JSON, jobs, reports, traces, campaign documents), where bad input\n\
-             must never panic, and the tenant/randomized-cache isolation\n\
-             modules, whose checked constructors guard partitions in release\n\
-             builds. The token is a refactoring hazard and the typed-error\n\
-             alternative is always available.\n\
+             JSON, jobs, configurations, reports, traces, campaign\n\
+             documents), where bad input must never panic, and the\n\
+             tenant/randomized-cache isolation modules, whose checked\n\
+             constructors guard partitions in release builds. The token is a\n\
+             refactoring hazard and the typed-error alternative is always\n\
+             available.\n\
              \n\
              example (flagged, in crates/obs/src/checkpoint.rs):\n\
-                 let points = doc.get(\"points\").unwrap();\n\
+             \x20   let points = doc.get(\"points\").unwrap();\n\
              fix: return a typed error (CodecError, JsonParseError,\n\
              TraceIoError), or restructure so the access is total.\n"
         }
@@ -117,7 +118,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              this rule follows the call graph and prints the offending chain.\n\
              \n\
              example (flagged):\n\
-                 fn choose_victim(…) { candidates[0] }   // literal index\n\
+             \x20   fn choose_victim(…) { candidates[0] }   // literal index\n\
              fix: debug_assert! for invariants, slice patterns or .first()\n\
              with a debug-checked fallback for indexing, typed errors for\n\
              real failure modes.\n"
@@ -135,7 +136,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (naive by contract) is exempt.\n\
              \n\
              example (flagged, in a policy's rebuild()):\n\
-                 let mut scratch = vec![0.0; BUCKETS];\n\
+             \x20   let mut scratch = vec![0.0; BUCKETS];\n\
              fix: preallocate in the constructor or use a stack array.\n"
         }
         "IO-001" => {
@@ -149,7 +150,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              durable appender lives beside it.\n\
              \n\
              example (flagged, in crates/farm):\n\
-                 std::fs::write(path, tsv)?;\n\
+             \x20   std::fs::write(path, tsv)?;\n\
              fix: use maps_obs::atomic's helpers.\n"
         }
         "ALLOW-001" => {
@@ -162,7 +163,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              way. Every entry also needs a trailing `# justification`.\n\
              \n\
              example (flagged):\n\
-                 SAFE-001 crates/old/file.rs max=1  # audited 2024\n\
+             \x20   SAFE-001 crates/old/file.rs max=1  # audited 2024\n\
              fix: delete the entry (or re-point it at the code it excuses).\n"
         }
         _ => return None,
@@ -194,6 +195,19 @@ mod tests {
         let d = crate::lint_source(path, example, &crate::Allowlist::empty());
         assert_eq!(d.len(), 1, "{path}: {d:?}");
         assert_eq!(d[0].rule, "PANIC-001");
+    }
+
+    #[test]
+    fn examples_keep_their_indent() {
+        for id in RULE_IDS {
+            let text = explain(id).unwrap_or_else(|| panic!("no explanation for {id}"));
+            let (_, rest) = text.split_once("example").unwrap();
+            let code = rest.lines().nth(1).unwrap_or_default();
+            assert!(
+                code.starts_with("    "),
+                "{id} example is flush-left: {code:?}"
+            );
+        }
     }
 
     #[test]

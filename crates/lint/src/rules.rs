@@ -51,8 +51,9 @@ pub(crate) use crate::items::CLOCK_RNG_IDENTS;
 /// input, plus the tenant/randomized-MDC isolation modules whose checked
 /// constructors are the release-mode guard against starved partitions
 /// (PANIC-001). Everything here returns typed errors instead.
-const PANIC_FREE_PATHS: [&str; 16] = [
+const PANIC_FREE_PATHS: [&str; 17] = [
     "crates/sim/src/capture.rs",
+    "crates/sim/src/config.rs",
     "crates/sim/src/report.rs",
     "crates/obs/src/checkpoint.rs",
     "crates/obs/src/codec.rs",

@@ -1,4 +1,4 @@
-//! Observability for the MAPS reproduction: a metrics registry, scoped
+//! Observability for the MAPS reproduction: a metrics registry,
 //! phase timers, and schema-versioned JSON run manifests.
 //!
 //! MAPS is a characterization study — its value is in *measured* metadata
@@ -9,8 +9,8 @@
 //! * [`Metrics`] — named counters, gauges, and fixed-log₂-bucket
 //!   [`Histogram`]s with deterministic (sorted) iteration order and a
 //!   `merge` operation, so parallel sweep workers can aggregate.
-//! * [`Phases`] — scoped wall-clock phase timers with nesting
-//!   (`capture/record`, `sweep/replay`, …).
+//! * [`Phases`] — wall-clock time accumulated per named phase
+//!   (`profile`, `sweep`, …).
 //! * [`Json`] / [`Manifest`] — a dependency-free JSON value type (writer
 //!   *and* parser) and the schema-versioned run manifest every
 //!   `maps-bench` binary emits.
@@ -43,4 +43,4 @@ pub use frame::{read_frame, write_frame, FRAME_MAGIC, MAX_FRAME_BYTES};
 pub use json::{Json, JsonParseError};
 pub use manifest::{git_describe, validate_manifest, Manifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics};
-pub use timer::{PhaseGuard, Phases};
+pub use timer::Phases;

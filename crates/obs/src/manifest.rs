@@ -251,9 +251,7 @@ mod tests {
         metrics.hist_record("walk.depth", 3);
 
         let mut phases = Phases::new();
-        {
-            let _g = phases.enter("sweep");
-        }
+        phases.add("sweep", Duration::from_millis(900));
 
         let mut m = Manifest::new("fig2");
         m.set_wall(Duration::from_millis(1500))

@@ -1,18 +1,16 @@
-//! Scoped wall-clock phase timers with nesting.
+//! Wall-clock time accumulated per named phase.
 //!
-//! A [`PhaseGuard`] measures from creation to drop and records the
-//! elapsed time under a `/`-joined path of the phases active at creation
-//! (`"sweep"`, `"sweep/replay"`, …). Re-entering a path accumulates, so
-//! per-iteration scopes inside a loop sum naturally.
+//! [`Phases`] sums measured durations under a phase name (`"profile"`,
+//! `"sweep"`, …). Adding to a name again accumulates, so per-iteration
+//! timings inside a loop sum naturally.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Accumulated wall-clock time per phase path.
 #[derive(Debug, Default)]
 pub struct Phases {
     /// (path, accumulated, entry count), ordered by first entry.
     acc: Vec<(String, Duration, u64)>,
-    stack: Vec<String>,
 }
 
 impl Phases {
@@ -21,36 +19,15 @@ impl Phases {
         Phases::default()
     }
 
-    /// Enters a phase; time accrues to it until the guard drops.
-    /// Phases nest: a guard created while another is live records under
-    /// the joined path `outer/inner`.
-    pub fn enter<'p>(&'p mut self, name: &str) -> PhaseGuard<'p> {
-        let path = match self.stack.last() {
-            Some(parent) => format!("{parent}/{name}"),
-            None => name.to_string(),
-        };
-        self.stack.push(path);
-        PhaseGuard {
-            phases: self,
-            start: Instant::now(),
-        }
-    }
-
-    fn record(&mut self, path: String, elapsed: Duration) {
-        match self.acc.iter_mut().find(|(p, _, _)| *p == path) {
+    /// Adds a measured duration to a phase path (one entry).
+    pub fn add(&mut self, path: &str, elapsed: Duration) {
+        match self.acc.iter_mut().find(|(p, _, _)| p == path) {
             Some((_, total, n)) => {
                 *total += elapsed;
                 *n += 1;
             }
-            None => self.acc.push((path, elapsed, 1)),
+            None => self.acc.push((path.to_string(), elapsed, 1)),
         }
-    }
-
-    /// Adds an externally measured duration to a phase path (one entry).
-    /// Closure-style timing helpers use this when a borrowing guard
-    /// cannot span the timed region.
-    pub fn add(&mut self, path: &str, elapsed: Duration) {
-        self.record(path.to_string(), elapsed);
     }
 
     /// Accumulated time for a phase path, if it was ever entered.
@@ -72,79 +49,25 @@ impl Phases {
     }
 }
 
-/// Records elapsed time into its [`Phases`] when dropped.
-#[must_use = "a phase guard measures until it is dropped"]
-pub struct PhaseGuard<'p> {
-    phases: &'p mut Phases,
-    start: Instant,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        if let Some(path) = self.phases.stack.pop() {
-            self.phases.record(path, elapsed);
-        }
-    }
-}
-
-impl PhaseGuard<'_> {
-    /// Enters a nested phase under this one.
-    pub fn enter(&mut self, name: &str) -> PhaseGuard<'_> {
-        self.phases.enter(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn records_on_drop() {
+    fn add_records_per_path() {
         let mut p = Phases::new();
-        {
-            let _g = p.enter("build");
-        }
-        assert!(p.elapsed("build").is_some());
+        p.add("build", Duration::from_millis(1));
+        assert_eq!(p.elapsed("build"), Some(Duration::from_millis(1)));
         assert_eq!(p.elapsed("missing"), None);
-    }
-
-    #[test]
-    fn nesting_joins_paths() {
-        let mut p = Phases::new();
-        {
-            let mut outer = p.enter("sweep");
-            {
-                let _inner = outer.enter("replay");
-            }
-            {
-                let _inner = outer.enter("report");
-            }
-        }
-        let paths: Vec<_> = p.snapshot().map(|(path, _, _)| path.to_string()).collect();
-        assert_eq!(paths, vec!["sweep/replay", "sweep/report", "sweep"]);
     }
 
     #[test]
     fn reentry_accumulates() {
         let mut p = Phases::new();
         for _ in 0..3 {
-            let _g = p.enter("iter");
+            p.add("iter", Duration::from_millis(2));
         }
-        let (_, _, n) = p.snapshot().next().unwrap();
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn outer_includes_inner_time() {
-        let mut p = Phases::new();
-        {
-            let mut outer = p.enter("outer");
-            let _inner = outer.enter("inner");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let outer = p.elapsed("outer").unwrap();
-        let inner = p.elapsed("outer/inner").unwrap();
-        assert!(outer >= inner);
+        let snapshot: Vec<_> = p.snapshot().collect();
+        assert_eq!(snapshot, vec![("iter", Duration::from_millis(6), 3)]);
     }
 }

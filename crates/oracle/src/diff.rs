@@ -20,11 +20,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use maps_cache::{Line, Partition, TenantPartition};
-use maps_sim::{
-    CacheContents, MdcConfig, MdcDesign, PartitionMode, PolicyChoice, RecordingObserver, SecureSim,
-    SimConfig,
-};
+use maps_cache::Line;
+use maps_obs::Json;
+use maps_sim::{PolicyChoice, RecordingObserver, SecureSim, SimConfig};
 use maps_trace::rng::SmallRng;
 use maps_trace::{AccessKind, BlockKind, MemAccess, MetaAccess, PhysAddr, TenantId, BLOCK_BYTES};
 use maps_workloads::Workload;
@@ -484,179 +482,24 @@ pub fn failures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/failures")
 }
 
-fn policy_token(policy: &PolicyChoice) -> String {
-    match policy {
-        PolicyChoice::Random(seed) => format!("random:{seed}"),
-        PolicyChoice::CostAware(cost) => format!("cost-aware:{cost}"),
-        other => other.name().to_string(),
-    }
-}
-
-fn parse_policy(token: &str) -> Result<PolicyChoice, String> {
-    let (name, param) = match token.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (token, None),
-    };
-    let num = || -> Result<u64, String> {
-        param
-            .ok_or_else(|| format!("policy {name} needs a parameter"))?
-            .parse()
-            .map_err(|e| format!("bad policy parameter: {e}"))
-    };
-    Ok(match name {
-        "pseudo-lru" => PolicyChoice::PseudoLru,
-        "true-lru" => PolicyChoice::TrueLru,
-        "fifo" => PolicyChoice::Fifo,
-        "random" => PolicyChoice::Random(num()?),
-        "srrip" => PolicyChoice::Srrip,
-        "eva" => PolicyChoice::Eva,
-        "min" => PolicyChoice::Min(Vec::new()),
-        "trace-min" => PolicyChoice::TraceMin(Vec::new()),
-        "cost-aware" => PolicyChoice::CostAware(num()?),
-        "drrip" => PolicyChoice::Drrip,
-        "eva-per-type" => PolicyChoice::EvaPerType,
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
-
-fn contents_token(contents: CacheContents) -> String {
-    contents.label().to_string()
-}
-
-fn parse_contents(token: &str) -> Result<CacheContents, String> {
-    Ok(match token {
-        "all" => CacheContents::ALL,
-        "counters" => CacheContents::COUNTERS_ONLY,
-        "counters+hashes" => CacheContents::COUNTERS_AND_HASHES,
-        "none" => CacheContents::NONE,
-        other => return Err(format!("unknown contents {other:?}")),
-    })
-}
-
-fn partition_token(mode: &PartitionMode) -> String {
-    match mode {
-        PartitionMode::None => "none".to_string(),
-        PartitionMode::Static(p) => format!("static:{}", p.counter_way_count()),
-        PartitionMode::Dynamic {
-            a,
-            b,
-            leaders_per_side,
-        } => format!(
-            "dynamic:{}:{}:{}",
-            a.counter_way_count(),
-            b.counter_way_count(),
-            leaders_per_side
-        ),
-        PartitionMode::PerTenant { tenants } => format!("per-tenant:{tenants}"),
-    }
-}
-
-fn parse_partition(token: &str) -> Result<PartitionMode, String> {
-    let mut parts = token.split(':');
-    let head = parts.next().unwrap_or("");
-    let mut num = || -> Result<usize, String> {
-        parts
-            .next()
-            .ok_or_else(|| format!("partition {token:?} is missing a field"))?
-            .parse()
-            .map_err(|e| format!("bad partition field: {e}"))
-    };
-    Ok(match head {
-        "none" => PartitionMode::None,
-        "static" => PartitionMode::Static(Partition::counter_ways(num()?)),
-        "dynamic" => PartitionMode::Dynamic {
-            a: Partition::counter_ways(num()?),
-            b: Partition::counter_ways(num()?),
-            leaders_per_side: num()?,
-        },
-        "per-tenant" => PartitionMode::PerTenant { tenants: num()? },
-        other => return Err(format!("unknown partition {other:?}")),
-    })
-}
-
-fn design_token(design: &MdcDesign) -> String {
-    match design {
-        MdcDesign::SetAssoc => "set-assoc".to_string(),
-        MdcDesign::Randomized { seed } => format!("randomized:{seed}"),
-    }
-}
-
-fn parse_design(token: &str) -> Result<MdcDesign, String> {
-    let (name, param) = match token.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (token, None),
-    };
-    Ok(match name {
-        "set-assoc" => MdcDesign::SetAssoc,
-        "randomized" => MdcDesign::Randomized {
-            seed: param
-                .ok_or_else(|| "randomized design needs a seed".to_string())?
-                .parse()
-                .map_err(|e| format!("bad design seed: {e}"))?,
-        },
-        other => return Err(format!("unknown design {other:?}")),
-    })
-}
-
-fn counter_mode_token(mode: maps_secure::CounterMode) -> &'static str {
-    match mode {
-        maps_secure::CounterMode::SplitPi => "split-pi",
-        maps_secure::CounterMode::SgxMonolithic => "sgx",
-    }
-}
-
-fn parse_counter_mode(token: &str) -> Result<maps_secure::CounterMode, String> {
-    Ok(match token {
-        "split-pi" => maps_secure::CounterMode::SplitPi,
-        "sgx" => maps_secure::CounterMode::SgxMonolithic,
-        other => return Err(format!("unknown counter mode {other:?}")),
-    })
-}
-
 /// Serializes a case (with the divergence it reproduces) to a `.trace`
-/// artifact in `dir`, returning the file path.
+/// artifact in `dir`, returning the file path. The header holds the
+/// label, seed and tenant count, and the whole configuration on one
+/// `config` line in its one encoding ([`SimConfig::to_json`]).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn dump_artifact(case: &DiffCase, err: &DiffError, dir: &Path) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let cfg = &case.cfg;
     let mut text = String::new();
     text.push_str("# MAPS differential failure artifact; replay with\n");
     text.push_str("#   cargo test -q --test differential replay_failure_artifacts\n");
     text.push_str(&format!("# {err}\n"));
     text.push_str(&format!("label = {}\n", case.label));
     text.push_str(&format!("seed = {}\n", case.seed));
-    text.push_str(&format!("secure = {}\n", cfg.secure));
-    text.push_str(&format!(
-        "counter_mode = {}\n",
-        counter_mode_token(cfg.counter_mode)
-    ));
-    text.push_str(&format!("memory_bytes = {}\n", cfg.memory_bytes));
-    text.push_str(&format!("l1 = {}/{}\n", cfg.l1_bytes, cfg.l1_ways));
-    text.push_str(&format!("l2 = {}/{}\n", cfg.l2_bytes, cfg.l2_ways));
-    text.push_str(&format!("llc = {}/{}\n", cfg.llc_bytes, cfg.llc_ways));
-    text.push_str(&format!("mdc = {}/{}\n", cfg.mdc.size_bytes, cfg.mdc.ways));
-    text.push_str(&format!(
-        "contents = {}\n",
-        contents_token(cfg.mdc.contents)
-    ));
-    text.push_str(&format!("policy = {}\n", policy_token(&cfg.mdc.policy)));
-    text.push_str(&format!("design = {}\n", design_token(&cfg.mdc.design)));
-    text.push_str(&format!(
-        "partition = {}\n",
-        partition_token(&cfg.mdc.partition)
-    ));
     text.push_str(&format!("tenants = {}\n", case.tenants));
-    text.push_str(&format!("partial_writes = {}\n", cfg.mdc.partial_writes));
-    text.push_str(&format!("dram_latency = {}\n", cfg.dram.latency_cycles));
-    text.push_str(&format!("hash_latency = {}\n", cfg.hash_latency));
-    text.push_str(&format!("speculation = {}\n", cfg.speculation));
-    text.push_str(&format!(
-        "speculation_window = {}\n",
-        cfg.speculation_window
-    ));
+    text.push_str(&format!("config = {}\n", case.cfg.to_json().to_compact()));
     text.push_str("ops:\n");
     for op in &case.ops {
         match op {
@@ -673,23 +516,15 @@ pub fn dump_artifact(case: &DiffCase, err: &DiffError, dir: &Path) -> std::io::R
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
+/// Returns a description of the first malformed line, or of a missing
+/// `config` line.
 pub fn parse_artifact(text: &str) -> Result<DiffCase, String> {
-    let mut cfg = SimConfig::paper_default();
+    let mut cfg = None;
     let mut label = String::from("artifact");
     let mut seed = 0u64;
     let mut tenants = 1usize;
     let mut ops = Vec::new();
     let mut in_ops = false;
-    let parse_pair = |v: &str| -> Result<(u64, usize), String> {
-        let (bytes, ways) = v
-            .split_once('/')
-            .ok_or_else(|| format!("expected bytes/ways, got {v:?}"))?;
-        Ok((
-            bytes.trim().parse().map_err(|e| format!("{e}"))?,
-            ways.trim().parse().map_err(|e| format!("{e}"))?,
-        ))
-    };
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -718,75 +553,23 @@ pub fn parse_artifact(text: &str) -> Result<DiffCase, String> {
         match key {
             "label" => label = value.to_string(),
             "seed" => seed = value.parse().map_err(|e| format!("{e}"))?,
-            "secure" => cfg.secure = value.parse().map_err(|e| format!("{e}"))?,
-            "counter_mode" => cfg.counter_mode = parse_counter_mode(value)?,
-            "memory_bytes" => cfg.memory_bytes = value.parse().map_err(|e| format!("{e}"))?,
-            "l1" => (cfg.l1_bytes, cfg.l1_ways) = parse_pair(value)?,
-            "l2" => (cfg.l2_bytes, cfg.l2_ways) = parse_pair(value)?,
-            "llc" => (cfg.llc_bytes, cfg.llc_ways) = parse_pair(value)?,
-            "mdc" => {
-                (cfg.mdc.size_bytes, cfg.mdc.ways) = {
-                    let (b, w) = parse_pair(value)?;
-                    (b, w)
-                }
-            }
-            "contents" => cfg.mdc.contents = parse_contents(value)?,
-            "policy" => cfg.mdc.policy = parse_policy(value)?,
-            "design" => cfg.mdc.design = parse_design(value)?,
-            "partition" => cfg.mdc.partition = parse_partition(value)?,
             "tenants" => {
                 tenants = value.parse().map_err(|e| format!("{e}"))?;
                 if !(1..=usize::from(u8::MAX)).contains(&tenants) {
                     return Err(format!("tenant count {tenants} does not fit a TenantId"));
                 }
             }
-            "partial_writes" => {
-                cfg.mdc.partial_writes = value.parse().map_err(|e| format!("{e}"))?
-            }
-            "dram_latency" => {
-                cfg.dram.latency_cycles = value.parse().map_err(|e| format!("{e}"))?
-            }
-            "hash_latency" => cfg.hash_latency = value.parse().map_err(|e| format!("{e}"))?,
-            "speculation" => cfg.speculation = value.parse().map_err(|e| format!("{e}"))?,
-            "speculation_window" => {
-                cfg.speculation_window = value.parse().map_err(|e| format!("{e}"))?
+            "config" => {
+                let doc = Json::parse(value).map_err(|e| format!("config: {e}"))?;
+                cfg = Some(SimConfig::from_json(&doc).map_err(|e| format!("config: {e}"))?);
             }
             other => return Err(format!("unknown header key {other:?}")),
-        }
-    }
-    if !cfg.secure {
-        cfg.mdc = MdcConfig::disabled();
-    }
-    // `partition =` may appear before `mdc = bytes/ways` in the artifact,
-    // so the split can only be checked against the final associativity
-    // here. An invalid split must be a parse error: in release builds it
-    // would otherwise clamp into a starved/overlapping way range and the
-    // replayed case would silently diverge from the dumped one.
-    let check = |p: &Partition| -> Result<(), String> {
-        p.try_validate(cfg.mdc.ways)
-            .map_err(|e| format!("bad partition: {e}"))
-    };
-    match &cfg.mdc.partition {
-        PartitionMode::None => {}
-        PartitionMode::Static(p) => check(p)?,
-        PartitionMode::Dynamic { a, b, .. } => {
-            check(a)?;
-            check(b)?;
-        }
-        // A per-tenant way split must honor the same checked-construction
-        // rule (the randomized design enforces quotas instead, so any
-        // tenant count is valid there).
-        PartitionMode::PerTenant { tenants } => {
-            if matches!(cfg.mdc.design, MdcDesign::SetAssoc) {
-                TenantPartition::new(*tenants, cfg.mdc.ways)
-                    .map_err(|e| format!("bad partition: {e}"))?;
-            }
         }
     }
     Ok(DiffCase {
         label,
         seed,
-        cfg,
+        cfg: cfg.ok_or("artifact has no config line")?,
         ops,
         tenants,
     })
@@ -837,6 +620,8 @@ pub fn check_case(case: &DiffCase) -> Result<(), DiffError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maps_cache::Partition;
+    use maps_sim::{CacheContents, MdcConfig, MdcDesign, PartitionMode};
 
     fn small_cfg() -> SimConfig {
         let mut cfg = SimConfig::paper_default();
@@ -890,26 +675,38 @@ mod tests {
         let _ = fs::remove_file(path);
     }
 
+    /// A one-op artifact whose `config` line encodes `cfg`, after the
+    /// `header` lines.
+    fn artifact_text(header: &str, cfg: &SimConfig) -> String {
+        format!(
+            "{header}config = {}\nops:\nR 1\n",
+            cfg.to_json().to_compact()
+        )
+    }
+
+    fn with_partition(partition: PartitionMode) -> SimConfig {
+        let mut cfg = small_cfg();
+        cfg.mdc.partition = partition;
+        cfg
+    }
+
     #[test]
     fn artifact_with_invalid_partition_is_rejected() {
-        // Regression: parse_artifact used to rebuild partitions through
-        // the unchecked `Partition::counter_ways`, so a hand-edited or
-        // corrupted artifact with a starving split (k == ways or k == 0)
-        // replayed with a clamped way range instead of erroring. This
-        // must hold in release builds too, where `ways_for` only clamps.
-        let base = "mdc = 2048/8\npartition = static:8\nops:\nR 1\n";
-        let err = parse_artifact(base).unwrap_err();
+        // An invalid split must be a parse error: in release builds it
+        // would otherwise clamp into a starved/overlapping way range and
+        // the replayed case would silently diverge from the dumped one.
+        let static_split = |k| with_partition(PartitionMode::Static(Partition::counter_ways(k)));
+        let err = parse_artifact(&artifact_text("", &static_split(8))).unwrap_err();
         assert!(err.contains("partition"), "unexpected error: {err}");
-        let zero = "mdc = 2048/8\npartition = static:0\nops:\nR 1\n";
-        assert!(parse_artifact(zero).is_err());
-        let dynamic = "mdc = 2048/8\npartition = dynamic:2:9:1\nops:\nR 1\n";
-        assert!(parse_artifact(dynamic).is_err());
-        // Header order must not matter: partition before mdc still
-        // validates against the final associativity.
-        let reordered = "partition = static:4\nmdc = 2048/4\nops:\nR 1\n";
-        assert!(parse_artifact(reordered).is_err());
-        let ok = "partition = static:4\nmdc = 2048/8\nops:\nR 1\n";
-        assert!(parse_artifact(ok).is_ok());
+        assert!(parse_artifact(&artifact_text("", &static_split(0))).is_err());
+        let dynamic = with_partition(PartitionMode::Dynamic {
+            a: Partition::counter_ways(2),
+            b: Partition::counter_ways(9),
+            leaders_per_side: 1,
+        });
+        assert!(parse_artifact(&artifact_text("", &dynamic)).is_err());
+        assert!(parse_artifact(&artifact_text("", &static_split(4))).is_ok());
+        assert!(parse_artifact("ops:\nR 1\n").is_err(), "no config line");
     }
 
     #[test]
@@ -986,16 +783,64 @@ mod tests {
     fn artifact_with_starving_tenant_split_is_rejected() {
         // Set-associative per-tenant splits obey checked construction:
         // more tenants than ways would starve someone. The randomized
-        // design has no such limit (quotas, not way ranges).
-        let starving = "mdc = 2048/4\npartition = per-tenant:5\nops:\nR 1\n";
-        let err = parse_artifact(starving).unwrap_err();
+        // design has no such limit (quotas, not way ranges), but still
+        // needs a tenant.
+        let tenant_split = |tenants, design| {
+            let mut cfg = with_partition(PartitionMode::PerTenant { tenants });
+            cfg.mdc.ways = 4;
+            cfg.mdc.design = design;
+            cfg
+        };
+        let randomized = MdcDesign::Randomized { seed: 7 };
+        let err =
+            parse_artifact(&artifact_text("", &tenant_split(5, MdcDesign::SetAssoc))).unwrap_err();
         assert!(err.contains("partition"), "unexpected error: {err}");
-        let ok = "mdc = 2048/4\npartition = per-tenant:4\ntenants = 4\nops:\nR 1\n";
-        assert_eq!(parse_artifact(ok).unwrap().tenants, 4);
-        let randomized =
-            "mdc = 2048/4\ndesign = randomized:7\npartition = per-tenant:5\nops:\nR 1\n";
-        assert!(parse_artifact(randomized).is_ok());
-        let bad_tenants = "tenants = 0\nops:\nR 1\n";
-        assert!(parse_artifact(bad_tenants).is_err());
+        let ok = artifact_text("tenants = 4\n", &tenant_split(4, MdcDesign::SetAssoc));
+        assert_eq!(parse_artifact(&ok).unwrap().tenants, 4);
+        assert!(parse_artifact(&artifact_text("", &tenant_split(5, randomized))).is_ok());
+        assert!(parse_artifact(&artifact_text("", &tenant_split(0, randomized))).is_err());
+        let bad_tenants = artifact_text("tenants = 0\n", &small_cfg());
+        assert!(parse_artifact(&bad_tenants).is_err());
+    }
+
+    #[test]
+    fn every_config_field_survives_the_artifact() {
+        // The config line is the lossless encoding: every cacheable-type
+        // subset, SGX counters, a non-default warm-up and DRAM energy, and
+        // the MIN sentinel (whose oracle trace is derived again on replay)
+        // load back unchanged.
+        let err = DiffError {
+            step: 0,
+            what: "synthetic".into(),
+        };
+        let dir = std::env::temp_dir().join("maps-oracle-artifact-test-fields");
+        for bits in 0..8u8 {
+            let mut cfg = small_cfg();
+            cfg.mdc.contents = CacheContents {
+                counters: bits & 1 != 0,
+                hashes: bits & 2 != 0,
+                tree: bits & 4 != 0,
+            };
+            cfg.mdc.policy = if bits % 2 == 0 {
+                PolicyChoice::Min(Vec::new())
+            } else {
+                PolicyChoice::EvaPerType
+            };
+            cfg.counter_mode = maps_secure::CounterMode::SgxMonolithic;
+            cfg.warmup_fraction = 0.25;
+            cfg.dram.energy_per_bit_pj = 12.5;
+            cfg.dram.background_pj_per_cycle = 0.75;
+            let case = DiffCase {
+                label: format!("fields-{}", cfg.mdc.contents.label()),
+                seed: u64::from(bits),
+                cfg,
+                ops: vec![TraceOp::Write(2), TraceOp::Read(2)],
+                tenants: 1,
+            };
+            let path = dump_artifact(&case, &err, &dir).unwrap();
+            let parsed = parse_artifact(&fs::read_to_string(&path).unwrap()).unwrap();
+            assert_eq!(parsed.cfg, case.cfg, "{}", case.label);
+            let _ = fs::remove_file(path);
+        }
     }
 }

@@ -1,9 +1,32 @@
-//! Simulation configuration (Table I defaults).
+//! Simulation configuration (Table I defaults) and its one encoding.
+//!
+//! [`SimConfig::to_json`] is the only encoding of a configuration. Run
+//! manifests embed it, every farm point fingerprint hashes it, the farm
+//! daemon ships it to worker processes inside each job, and differential
+//! failure artifacts carry it on their `config` line. Every
+//! outcome-bearing field is written, so two configurations that can
+//! simulate differently never share an encoding, and
+//! [`SimConfig::from_json`] rebuilds the configuration *exactly*. Floats
+//! travel as raw IEEE-754 bits (`f64::to_bits`, the `SimReport`
+//! discipline), and every malformed document decodes to a typed
+//! [`CodecError`], never a panic, because the farm daemon feeds the
+//! decoder bytes that crossed a socket.
+//!
+//! Field coverage is checked by the compiler: each encoder destructures
+//! its struct without `..` and each decoder builds it with a literal that
+//! names every field, so a new field that no codec handles fails to build.
+//!
+//! The one deliberate hole: [`PolicyChoice::Min`]/[`PolicyChoice::TraceMin`]
+//! carry a recorded oracle trace that can run to millions of entries. The
+//! encoding writes their name only, and the decoder reads the name back
+//! with an *empty* trace: the sentinel the differential harness fills in
+//! by re-deriving the trace. Farm jobs refuse both policies.
 
 use maps_cache::policy::AnyPolicy;
 use maps_cache::Partition;
 use maps_mem::DramModel;
-use maps_secure::{CounterMode, SecureConfig};
+use maps_obs::{CodecError, Json};
+use maps_secure::CounterMode;
 
 /// Which metadata types the metadata cache may hold (Figure 1 evaluates
 /// three of these combinations).
@@ -363,9 +386,114 @@ impl SimConfig {
         }
     }
 
-    /// The secure-memory configuration implied by this simulation config.
-    pub fn secure_config(&self) -> SecureConfig {
-        SecureConfig::new(self.memory_bytes, self.counter_mode)
+    /// Encodes the configuration: the manifest `config` block, the text
+    /// every point fingerprint hashes, the `cfg` of a worker job and the
+    /// `config` line of a failure artifact. Lossless but for MIN oracle
+    /// traces, which are written by name only (see the module docs).
+    pub fn to_json(&self) -> Json {
+        let SimConfig {
+            l1_bytes,
+            l1_ways,
+            l2_bytes,
+            l2_ways,
+            llc_bytes,
+            llc_ways,
+            memory_bytes,
+            counter_mode,
+            mdc,
+            dram,
+            hash_latency,
+            speculation,
+            speculation_window,
+            secure,
+            warmup_fraction,
+        } = self;
+        let counter_mode = match counter_mode {
+            CounterMode::SplitPi => "split-pi",
+            CounterMode::SgxMonolithic => "sgx-monolithic",
+        };
+        Json::Obj(vec![
+            ("l1_bytes".into(), Json::UInt(*l1_bytes)),
+            ("l1_ways".into(), Json::UInt(*l1_ways as u64)),
+            ("l2_bytes".into(), Json::UInt(*l2_bytes)),
+            ("l2_ways".into(), Json::UInt(*l2_ways as u64)),
+            ("llc_bytes".into(), Json::UInt(*llc_bytes)),
+            ("llc_ways".into(), Json::UInt(*llc_ways as u64)),
+            ("memory_bytes".into(), Json::UInt(*memory_bytes)),
+            ("counter_mode".into(), Json::Str(counter_mode.into())),
+            ("mdc".into(), mdc_to_json(mdc)),
+            ("dram".into(), dram_to_json(dram)),
+            ("hash_latency".into(), Json::UInt(*hash_latency)),
+            ("speculation".into(), Json::Bool(*speculation)),
+            ("speculation_window".into(), Json::UInt(*speculation_window)),
+            ("secure".into(), Json::Bool(*secure)),
+            (
+                "warmup_fraction_bits".into(),
+                Json::UInt(warmup_fraction.to_bits()),
+            ),
+        ])
+    }
+
+    /// Decodes a configuration written by [`SimConfig::to_json`]. A MIN
+    /// policy comes back with an empty oracle trace.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Missing`] or [`CodecError::Invalid`] for a missing or
+    /// mistyped field, an unknown name, or a partition that would starve
+    /// a metadata type or a tenant.
+    pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
+        let mdc_doc = doc.field("mdc")?;
+        let contents_doc = mdc_doc.field("contents")?;
+        let contents = CacheContents {
+            counters: contents_doc.bool_field("counters")?,
+            hashes: contents_doc.bool_field("hashes")?,
+            tree: contents_doc.bool_field("tree")?,
+        };
+        let ways = mdc_doc.usize_field("ways")?;
+        let design = design_from_json(mdc_doc.field("design")?)?;
+        let mdc = MdcConfig {
+            size_bytes: mdc_doc.u64_field("size_bytes")?,
+            ways,
+            contents,
+            policy: policy_from_json(mdc_doc.field("policy")?)?,
+            partition: partition_from_json(mdc_doc.field("partition")?, ways, design)?,
+            partial_writes: mdc_doc.bool_field("partial_writes")?,
+            design,
+        };
+        let counter_mode = match doc.str_field("counter_mode")? {
+            "split-pi" => CounterMode::SplitPi,
+            "sgx-monolithic" => CounterMode::SgxMonolithic,
+            other => {
+                return Err(CodecError::invalid(
+                    "cfg.counter_mode",
+                    format!("unknown mode '{other}'"),
+                ))
+            }
+        };
+        let dram_doc = doc.field("dram")?;
+        let dram = DramModel {
+            latency_cycles: dram_doc.u64_field("latency_cycles")?,
+            energy_per_bit_pj: dram_doc.f64_bits_field("energy_per_bit_pj_bits")?,
+            background_pj_per_cycle: dram_doc.f64_bits_field("background_pj_per_cycle_bits")?,
+        };
+        Ok(SimConfig {
+            l1_bytes: doc.u64_field("l1_bytes")?,
+            l1_ways: doc.usize_field("l1_ways")?,
+            l2_bytes: doc.u64_field("l2_bytes")?,
+            l2_ways: doc.usize_field("l2_ways")?,
+            llc_bytes: doc.u64_field("llc_bytes")?,
+            llc_ways: doc.usize_field("llc_ways")?,
+            memory_bytes: doc.u64_field("memory_bytes")?,
+            counter_mode,
+            mdc,
+            dram,
+            hash_latency: doc.u64_field("hash_latency")?,
+            speculation: doc.bool_field("speculation")?,
+            speculation_window: doc.u64_field("speculation_window")?,
+            secure: doc.bool_field("secure")?,
+            warmup_fraction: doc.f64_bits_field("warmup_fraction_bits")?,
+        })
     }
 
     /// Warm-up accesses of an `accesses`-long run: `warmup_fraction` of
@@ -375,6 +503,218 @@ impl SimConfig {
     pub(crate) fn warmup_accesses(&self, accesses: u64) -> u64 {
         ((accesses as f64 * self.warmup_fraction) as u64).min(accesses)
     }
+}
+
+/// A policy by name plus its parameter; MIN oracle traces are written by
+/// name only (see the module docs).
+fn policy_to_json(policy: &PolicyChoice) -> Json {
+    let mut fields = vec![("name".to_string(), Json::Str(policy.name().into()))];
+    match policy {
+        PolicyChoice::Random(seed) => fields.push(("seed".into(), Json::UInt(*seed))),
+        PolicyChoice::CostAware(cost) => fields.push(("cost".into(), Json::UInt(*cost))),
+        PolicyChoice::Min(_) | PolicyChoice::TraceMin(_) => {}
+        PolicyChoice::PseudoLru
+        | PolicyChoice::TrueLru
+        | PolicyChoice::Fifo
+        | PolicyChoice::Srrip
+        | PolicyChoice::Eva
+        | PolicyChoice::Drrip
+        | PolicyChoice::EvaPerType => {}
+    }
+    Json::Obj(fields)
+}
+
+fn policy_from_json(doc: &Json) -> Result<PolicyChoice, CodecError> {
+    let name = doc.str_field("name")?;
+    Ok(match name {
+        "pseudo-lru" => PolicyChoice::PseudoLru,
+        "true-lru" => PolicyChoice::TrueLru,
+        "fifo" => PolicyChoice::Fifo,
+        "random" => PolicyChoice::Random(doc.u64_field("seed")?),
+        "srrip" => PolicyChoice::Srrip,
+        "eva" => PolicyChoice::Eva,
+        "min" => PolicyChoice::Min(Vec::new()),
+        "trace-min" => PolicyChoice::TraceMin(Vec::new()),
+        "cost-aware" => PolicyChoice::CostAware(doc.u64_field("cost")?),
+        "drrip" => PolicyChoice::Drrip,
+        "eva-per-type" => PolicyChoice::EvaPerType,
+        other => {
+            return Err(CodecError::invalid(
+                "cfg.mdc.policy.name",
+                format!("unknown policy '{other}'"),
+            ))
+        }
+    })
+}
+
+fn partition_to_json(partition: &PartitionMode) -> Json {
+    match partition {
+        PartitionMode::None => Json::Obj(vec![("mode".into(), Json::Str("none".into()))]),
+        PartitionMode::Static(p) => Json::Obj(vec![
+            ("mode".into(), Json::Str("static".into())),
+            (
+                "counter_ways".into(),
+                Json::UInt(p.counter_way_count() as u64),
+            ),
+        ]),
+        PartitionMode::Dynamic {
+            a,
+            b,
+            leaders_per_side,
+        } => Json::Obj(vec![
+            ("mode".into(), Json::Str("dynamic".into())),
+            (
+                "a_counter_ways".into(),
+                Json::UInt(a.counter_way_count() as u64),
+            ),
+            (
+                "b_counter_ways".into(),
+                Json::UInt(b.counter_way_count() as u64),
+            ),
+            (
+                "leaders_per_side".into(),
+                Json::UInt(*leaders_per_side as u64),
+            ),
+        ]),
+        PartitionMode::PerTenant { tenants } => Json::Obj(vec![
+            ("mode".into(), Json::Str("per-tenant".into())),
+            ("tenants".into(), Json::UInt(*tenants as u64)),
+        ]),
+    }
+}
+
+/// Rebuilds a [`Partition`] from its counter-way count; the total way
+/// count comes from the surrounding `mdc.ways`.
+fn partition_ways(
+    counter_ways: usize,
+    ways: usize,
+    field: &'static str,
+) -> Result<Partition, CodecError> {
+    Partition::new(counter_ways, ways).map_err(|e| CodecError::invalid(field, e.to_string()))
+}
+
+fn partition_from_json(
+    doc: &Json,
+    ways: usize,
+    design: MdcDesign,
+) -> Result<PartitionMode, CodecError> {
+    Ok(match doc.str_field("mode")? {
+        "none" => PartitionMode::None,
+        "static" => PartitionMode::Static(partition_ways(
+            doc.usize_field("counter_ways")?,
+            ways,
+            "cfg.mdc.partition.counter_ways",
+        )?),
+        "dynamic" => PartitionMode::Dynamic {
+            a: partition_ways(
+                doc.usize_field("a_counter_ways")?,
+                ways,
+                "cfg.mdc.partition.a_counter_ways",
+            )?,
+            b: partition_ways(
+                doc.usize_field("b_counter_ways")?,
+                ways,
+                "cfg.mdc.partition.b_counter_ways",
+            )?,
+            leaders_per_side: doc.usize_field("leaders_per_side")?,
+        },
+        "per-tenant" => {
+            let tenants = doc.usize_field("tenants")?;
+            // A set-associative split gives each tenant whole ways; the
+            // randomized design enforces frame quotas, which need only a
+            // positive tenant count.
+            if tenants == 0 || (design == MdcDesign::SetAssoc && tenants > ways) {
+                return Err(CodecError::invalid(
+                    "cfg.mdc.partition.tenants",
+                    format!(
+                        "{tenants} tenant(s) cannot share a {ways}-way {} cache",
+                        design.name()
+                    ),
+                ));
+            }
+            PartitionMode::PerTenant { tenants }
+        }
+        other => {
+            return Err(CodecError::invalid(
+                "cfg.mdc.partition.mode",
+                format!("unknown mode '{other}'"),
+            ))
+        }
+    })
+}
+
+fn design_to_json(design: &MdcDesign) -> Json {
+    let mut fields = vec![("kind".to_string(), Json::Str(design.name().into()))];
+    match design {
+        MdcDesign::SetAssoc => {}
+        MdcDesign::Randomized { seed } => fields.push(("seed".into(), Json::UInt(*seed))),
+    }
+    Json::Obj(fields)
+}
+
+fn design_from_json(doc: &Json) -> Result<MdcDesign, CodecError> {
+    Ok(match doc.str_field("kind")? {
+        "set-assoc" => MdcDesign::SetAssoc,
+        "randomized" => MdcDesign::Randomized {
+            seed: doc.u64_field("seed")?,
+        },
+        other => {
+            return Err(CodecError::invalid(
+                "cfg.mdc.design.kind",
+                format!("unknown kind '{other}'"),
+            ))
+        }
+    })
+}
+
+fn mdc_to_json(mdc: &MdcConfig) -> Json {
+    let MdcConfig {
+        size_bytes,
+        ways,
+        contents,
+        policy,
+        partition,
+        partial_writes,
+        design,
+    } = mdc;
+    let CacheContents {
+        counters,
+        hashes,
+        tree,
+    } = contents;
+    let contents = Json::Obj(vec![
+        ("counters".into(), Json::Bool(*counters)),
+        ("hashes".into(), Json::Bool(*hashes)),
+        ("tree".into(), Json::Bool(*tree)),
+    ]);
+    Json::Obj(vec![
+        ("size_bytes".into(), Json::UInt(*size_bytes)),
+        ("ways".into(), Json::UInt(*ways as u64)),
+        ("contents".into(), contents),
+        ("policy".into(), policy_to_json(policy)),
+        ("partition".into(), partition_to_json(partition)),
+        ("partial_writes".into(), Json::Bool(*partial_writes)),
+        ("design".into(), design_to_json(design)),
+    ])
+}
+
+fn dram_to_json(dram: &DramModel) -> Json {
+    let DramModel {
+        latency_cycles,
+        energy_per_bit_pj,
+        background_pj_per_cycle,
+    } = dram;
+    Json::Obj(vec![
+        ("latency_cycles".into(), Json::UInt(*latency_cycles)),
+        (
+            "energy_per_bit_pj_bits".into(),
+            Json::UInt(energy_per_bit_pj.to_bits()),
+        ),
+        (
+            "background_pj_per_cycle_bits".into(),
+            Json::UInt(background_pj_per_cycle.to_bits()),
+        ),
+    ])
 }
 
 #[cfg(test)]
