@@ -169,6 +169,10 @@ fn run() -> Result<(), BenchError> {
         cfg.secure = false;
         cfg.mdc = MdcConfig::disabled();
     }
+    // A size the caches cannot be built with is a usage error (exit 2),
+    // not a constructor panic.
+    cfg.check_geometry()
+        .map_err(|e| usage_err(format!("invalid cache geometry: {e}")))?;
 
     // RunContext reads --manifest/--ckpt from the environment args itself;
     // strip them here so the strict unknown-argument check below accepts

@@ -132,7 +132,7 @@ pub fn job_from_json(doc: &Json) -> Result<SimJob, CodecError> {
 mod tests {
     use super::*;
     use maps_cache::Partition;
-    use maps_sim::{MdcDesign, PartitionMode};
+    use maps_sim::{MdcConfig, MdcDesign, PartitionMode};
 
     fn exotic_config() -> SimConfig {
         let mut cfg = SimConfig::paper_default();
@@ -352,6 +352,62 @@ mod tests {
         // Quotas, not way ranges: any positive count fits a randomized cache.
         assert!(decode(9, randomized).is_ok());
         assert!(decode(8, MdcDesign::SetAssoc).is_ok());
+    }
+
+    #[test]
+    fn unbuildable_geometries_are_typed_errors() {
+        let decode = |cfg: SimConfig| {
+            let job = SimJob::replay("g", cfg, Benchmark::Gups, 100);
+            job_from_json(&job_to_json(&job).expect("encodable"))
+        };
+        let paper = SimConfig::paper_default();
+        let mut leaders = paper.clone();
+        // 128 sets in the paper's 64 KB 8-way MDC.
+        leaders.mdc.partition = PartitionMode::Dynamic {
+            a: Partition::new(2, 8).unwrap(),
+            b: Partition::new(6, 8).unwrap(),
+            leaders_per_side: 1000,
+        };
+        let mut l1_ways = paper.clone();
+        l1_ways.l1_ways = 0;
+        let mdc_bytes = paper.with_mdc(paper.mdc.with_size(1000));
+        let randomized_bytes = paper.with_mdc(
+            paper
+                .mdc
+                .with_size(1000)
+                .with_design(MdcDesign::Randomized { seed: 5 }),
+        );
+        for (cfg, field) in [
+            (leaders, "cfg.mdc.partition.leaders_per_side"),
+            (l1_ways, "cfg.l1_ways"),
+            (mdc_bytes, "cfg.mdc.size_bytes"),
+            (randomized_bytes, "cfg.mdc.size_bytes"),
+        ] {
+            let got = decode(cfg);
+            assert!(
+                matches!(got, Err(CodecError::Invalid { field: f, .. }) if f == field),
+                "{field}: {got:?}"
+            );
+        }
+        // The largest leader count that fits, a frame count that is not a
+        // power of two under the randomized design, and a disabled MDC
+        // all decode.
+        let mut fits = paper.clone();
+        fits.mdc.partition = PartitionMode::Dynamic {
+            a: Partition::new(2, 8).unwrap(),
+            b: Partition::new(6, 8).unwrap(),
+            leaders_per_side: 64,
+        };
+        let randomized_odd = paper.with_mdc(
+            paper
+                .mdc
+                .with_size(3 * 8 * 64)
+                .with_design(MdcDesign::Randomized { seed: 5 }),
+        );
+        let disabled = paper.with_mdc(MdcConfig::disabled());
+        for cfg in [fits, randomized_odd, disabled] {
+            assert!(decode(cfg.clone()).is_ok(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use maps_trace::BlockKind;
 
-use crate::line::{LineMeta, SetView};
+use crate::line::{LineMeta, SetView, FULL_MASK};
 use crate::{CacheConfig, CacheStats, Line, Partition, Policy};
 
 /// Outcome of one cache access.
@@ -12,13 +12,10 @@ pub struct AccessResult {
     pub hit: bool,
     /// Line evicted to make room, if any.
     pub evicted: Option<Line>,
-}
-
-impl AccessResult {
-    const HIT: AccessResult = AccessResult {
-        hit: true,
-        evicted: None,
-    };
+    /// The frame that holds the key after the call: the one that hit, or
+    /// the one the fill used. Set-associative frames are
+    /// `set * ways + way`; randomized ones index the data store.
+    pub frame: usize,
 }
 
 /// Tag value marking an empty frame in the packed tag array. Block keys
@@ -146,16 +143,6 @@ impl<P: Policy> SetAssocCache<P> {
         self.time
     }
 
-    /// Returns `true` if `key` is resident (no state change).
-    pub fn contains(&self, key: u64) -> bool {
-        self.find_way(self.cfg.set_of(key), key).is_some()
-    }
-
-    /// The resident line for `key`, if any (no state change).
-    pub fn line(&self, key: u64) -> Option<Line> {
-        self.frame_of(key).map(|idx| self.line_at(idx))
-    }
-
     /// The frame holding `key` (`set * ways + way`), if resident (no
     /// state change).
     pub fn frame_of(&self, key: u64) -> Option<usize> {
@@ -250,22 +237,27 @@ impl<P: Policy> SetAssocCache<P> {
             let idx = set * self.cfg.ways() + way;
             self.stamps[idx] = t;
             if write {
-                // Dirty only: sub-block validity is managed by the
-                // partial-write callers via `mark_valid`.
+                // Dirty only: sub-block validity is managed by the slot
+                // writes.
                 self.meta[idx].dirty = true;
             }
             self.policy.on_hit(set, way, t, kind);
             self.stats.record_access(kind, true);
-            return AccessResult::HIT;
+            return AccessResult {
+                hit: true,
+                evicted: None,
+                frame: idx,
+            };
         }
 
         self.stats.record_access(kind, false);
         let mut new_line = Line::filled(key, kind, t);
         new_line.dirty = write;
-        let evicted = self.fill(set, new_line, range, first_empty);
+        let (frame, evicted) = self.fill(set, new_line, range, first_empty);
         AccessResult {
             hit: false,
             evicted,
+            frame,
         }
     }
 
@@ -280,38 +272,41 @@ impl<P: Policy> SetAssocCache<P> {
         hit
     }
 
-    /// Inserts a partial-write placeholder holding only sub-entry `slot`.
-    /// Misses only; the caller must have established non-residency (e.g.
-    /// via a missed [`SetAssocCache::access`]).
+    /// Writes 8 B sub-entry `slot` of `key` with one tag search (the
+    /// partial-write path). A hit is a write hit that also marks the slot
+    /// valid, exactly like [`SetAssocCache::access_mark_valid`]. A miss
+    /// records the miss and fills a placeholder holding only `slot`, at
+    /// the current time and without advancing it, so the policy sees no
+    /// access for the fill.
     ///
-    /// # Panics
-    ///
-    /// Panics if `key` is already resident or `slot >= 8`.
-    pub fn insert_placeholder(
+    /// Debug builds panic if `slot >= 8`.
+    #[inline]
+    pub fn write_slot(
         &mut self,
         key: u64,
         kind: BlockKind,
         slot: u8,
         partition_override: Option<&Partition>,
-    ) -> Option<Line> {
+    ) -> AccessResult {
         let range = self.allowed_ways(kind, partition_override);
-        self.insert_placeholder_ranged(key, kind, slot, range)
+        self.write_slot_ranged(key, kind, slot, range)
     }
 
-    /// [`SetAssocCache::insert_placeholder`] with the fill confined to
-    /// the explicit way range `[lo, hi)` (per-tenant partitioning).
+    /// [`SetAssocCache::write_slot`] with the fill confined to the
+    /// explicit way range `[lo, hi)` (per-tenant partitioning).
     ///
     /// # Panics
     ///
-    /// Debug builds panic if `key` is already resident, `slot >= 8`, or
-    /// the way range is empty or out of range.
-    pub fn insert_placeholder_in_ways(
+    /// Debug builds panic if `slot >= 8` or the way range is empty or out
+    /// of range.
+    #[inline]
+    pub fn write_slot_in_ways(
         &mut self,
         key: u64,
         kind: BlockKind,
         slot: u8,
         ways: (usize, usize),
-    ) -> Option<Line> {
+    ) -> AccessResult {
         debug_assert!(
             ways.0 < ways.1 && ways.1 <= self.cfg.ways(),
             "way range ({}, {}) invalid for {} ways",
@@ -319,44 +314,55 @@ impl<P: Policy> SetAssocCache<P> {
             ways.1,
             self.cfg.ways()
         );
-        self.insert_placeholder_ranged(key, kind, slot, ways)
+        self.write_slot_ranged(key, kind, slot, ways)
     }
 
-    fn insert_placeholder_ranged(
+    fn write_slot_ranged(
         &mut self,
         key: u64,
         kind: BlockKind,
         slot: u8,
         range: (usize, usize),
-    ) -> Option<Line> {
+    ) -> AccessResult {
+        debug_assert!(slot < 8, "sub-block slot {slot} out of range");
         let set = self.cfg.set_of(key);
         let (hit_way, first_empty) = self.scan_set(set, key);
-        debug_assert!(
-            hit_way.is_none(),
-            "placeholder insert for resident key {key}"
-        );
-        let t = self.time;
-        self.fill(
-            set,
-            Line::placeholder(key, kind, t, slot),
-            range,
-            first_empty,
-        )
+        if let Some(way) = hit_way {
+            return AccessResult {
+                hit: true,
+                evicted: None,
+                frame: self.slot_hit(set, way, key, kind, slot),
+            };
+        }
+        self.stats.record_access(kind, false);
+        let placeholder = Line::placeholder(key, kind, self.time, slot);
+        let (frame, evicted) = self.fill(set, placeholder, range, first_empty);
+        AccessResult {
+            hit: false,
+            evicted,
+            frame,
+        }
     }
 
-    /// Hit path of a partial write: behaves exactly like a write
-    /// [`SetAssocCache::access`] followed by [`SetAssocCache::mark_valid`],
-    /// but with a single tag lookup. Returns `None` (no state change) when
-    /// `key` is not resident, in which case the caller falls back to the
-    /// miss path.
+    /// Hit path of a slot write: behaves exactly like a write
+    /// [`SetAssocCache::access`] that also marks `slot` valid, with a
+    /// single tag search. Returns the updated mask, or `None` (no state
+    /// change) when `key` is not resident.
     ///
-    /// Debug builds panic if `slot >= 8`; release builds mask the slot's
-    /// bit into an 8-bit field regardless, so an out-of-range slot is a
-    /// silent no-op rather than a replay abort.
+    /// Debug builds panic if `slot >= 8`; release builds wrap the shift,
+    /// so slot `s` marks sub-entry `s % 8` rather than aborting a replay.
     pub fn access_mark_valid(&mut self, key: u64, kind: BlockKind, slot: u8) -> Option<u8> {
         debug_assert!(slot < 8, "sub-block slot {slot} out of range");
         let set = self.cfg.set_of(key);
         let way = self.find_way(set, key)?;
+        let idx = self.slot_hit(set, way, key, kind, slot);
+        Some(self.meta[idx].valid_mask)
+    }
+
+    /// A slot write that hit `way` of `set`: a write hit, then the slot's
+    /// valid bit. Returns the frame.
+    #[inline]
+    fn slot_hit(&mut self, set: usize, way: usize, key: u64, kind: BlockKind, slot: u8) -> usize {
         let t = self.time;
         self.time += 1;
         self.policy.begin_access(t, key);
@@ -364,24 +370,29 @@ impl<P: Policy> SetAssocCache<P> {
         self.stamps[idx] = t;
         self.meta[idx].dirty = true;
         // The policy observes a plain write hit: the sub-entry bit lands
-        // only after `on_hit`, mirroring the separate access-then-mark
-        // sequence this method replaces.
+        // only after `on_hit`.
         self.policy.on_hit(set, way, t, kind);
         self.stats.record_access(kind, true);
         self.meta[idx].valid_mask |= 1 << slot;
-        Some(self.meta[idx].valid_mask)
+        idx
     }
 
-    /// Marks additional valid sub-entries on a resident line (partial-write
-    /// coalescing); returns the updated mask, or `None` if not resident.
-    pub fn mark_valid(&mut self, key: u64, slot: u8) -> Option<u8> {
-        debug_assert!(slot < 8, "sub-block slot {slot} out of range");
-        let set = self.cfg.set_of(key);
-        let way = self.find_way(set, key)?;
-        let m = &mut self.meta[set * self.cfg.ways() + way];
-        m.valid_mask |= 1 << slot;
+    /// Marks every sub-entry of the line in `frame` valid (after a
+    /// completing fill read), returning whether any was missing. Completing
+    /// sets the dirty bit, as a slot write does; a complete line is left
+    /// untouched.
+    pub fn complete_frame(&mut self, frame: usize) -> bool {
+        debug_assert_ne!(
+            self.tags[frame], EMPTY_TAG,
+            "complete_frame on an empty frame"
+        );
+        let m = &mut self.meta[frame];
+        if m.valid_mask == FULL_MASK {
+            return false;
+        }
+        m.valid_mask = FULL_MASK;
         m.dirty = true;
-        Some(m.valid_mask)
+        true
     }
 
     /// Removes `key` if resident, returning the line.
@@ -470,14 +481,15 @@ impl<P: Policy> SetAssocCache<P> {
     /// `first_empty` is the set's first empty way as returned by
     /// [`SetAssocCache::scan_set`] (reused when no partition narrows the
     /// ways, so the fill path does not re-scan the tag row). The fill is
-    /// confined to the resolved way range `[lo, hi)`.
+    /// confined to the resolved way range `[lo, hi)`. Returns the frame
+    /// filled and the victim it held, if any.
     fn fill(
         &mut self,
         set: usize,
         new_line: Line,
         (lo, hi): (usize, usize),
         first_empty: Option<usize>,
-    ) -> Option<Line> {
+    ) -> (usize, Option<Line>) {
         let base = set * self.cfg.ways();
         debug_assert_ne!(
             new_line.key, EMPTY_TAG,
@@ -493,7 +505,7 @@ impl<P: Policy> SetAssocCache<P> {
         if let Some(way) = empty {
             self.store_line(base + way, &new_line);
             self.policy.on_fill(set, way, &new_line);
-            return None;
+            return (base + way, None);
         }
 
         let way = match self
@@ -524,7 +536,7 @@ impl<P: Policy> SetAssocCache<P> {
         self.stats.record_eviction(victim.kind, victim.dirty);
         self.store_line(base + way, &new_line);
         self.policy.on_fill(set, way, &new_line);
-        Some(victim)
+        (base + way, Some(victim))
     }
 }
 
@@ -583,26 +595,48 @@ mod tests {
     fn probe_does_not_allocate() {
         let mut c = small();
         assert!(!c.probe(5, BlockKind::Hash));
-        assert!(!c.contains(5));
+        assert_eq!(c.frame_of(5), None);
         assert_eq!(c.stats().kind(BlockKind::Hash).misses, 1);
     }
 
     #[test]
-    fn placeholder_and_mark_valid() {
+    fn slot_writes_fill_placeholders_and_coalesce() {
         let mut c = small();
-        c.insert_placeholder(3, BlockKind::Hash, 2, None);
-        assert!(c.contains(3));
-        let mask = c.mark_valid(3, 5).unwrap();
-        assert_eq!(mask, 0b0010_0100);
-        assert_eq!(c.mark_valid(99, 0), None);
+        let r = c.write_slot(3, BlockKind::Hash, 2, None);
+        assert!(!r.hit && r.evicted.is_none());
+        assert_eq!(c.frame_of(3), Some(r.frame));
+        // The placeholder fill is not an access: time stays put.
+        assert_eq!(c.time(), 0);
+        let r2 = c.write_slot(3, BlockKind::Hash, 5, None);
+        assert!(r2.hit);
+        assert_eq!(r2.frame, r.frame);
+        assert_eq!(
+            c.access_mark_valid(3, BlockKind::Hash, 0),
+            Some(0b0010_0101)
+        );
+        assert_eq!(c.access_mark_valid(99, BlockKind::Hash, 0), None);
+        let s = c.stats().kind(BlockKind::Hash);
+        assert_eq!((s.hits, s.misses), (2, 1));
+        assert!(c.complete_frame(r.frame));
+        assert!(!c.complete_frame(r.frame), "a complete line stays as it is");
+        let line = c.resident_lines().next().unwrap();
+        assert!(line.dirty && line.is_complete());
     }
 
     #[test]
-    #[should_panic(expected = "resident key")]
-    fn placeholder_for_resident_key_panics() {
+    fn reported_frames_hold_the_key() {
         let mut c = small();
-        c.access(3, BlockKind::Hash, false);
-        c.insert_placeholder(3, BlockKind::Hash, 0, None);
+        for k in 0..40u64 {
+            let r = if k % 3 == 0 {
+                c.write_slot(k % 11, BlockKind::Hash, (k % 8) as u8, None)
+            } else {
+                c.access(k % 13, BlockKind::Counter, k % 2 == 0)
+            };
+            assert_eq!(
+                c.frame_of(if k % 3 == 0 { k % 11 } else { k % 13 }),
+                Some(r.frame)
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,100 @@
-//! Cache geometry configuration.
+//! Cache geometry configuration, and the one place its rules live.
+
+use std::fmt;
 
 use maps_trace::BLOCK_BYTES;
+
+/// A cache geometry the constructors would refuse. The panicking
+/// constructors ([`CacheConfig::with_block_bytes`],
+/// [`RandomizedCache::new`](crate::RandomizedCache::new),
+/// [`DuelingController::new`](crate::DuelingController::new)) panic with
+/// this error's message, and their checked forms return it, so callers
+/// that take a geometry from outside the process can refuse it instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometryError {
+    /// Zero ways per set.
+    NoWays,
+    /// Zero bytes per block.
+    NoBlockBytes,
+    /// The capacity is not a multiple of `ways * block_bytes`.
+    Capacity {
+        /// Requested capacity in bytes.
+        size_bytes: u64,
+        /// Requested associativity.
+        ways: usize,
+        /// Block size in bytes.
+        block_bytes: u64,
+    },
+    /// A capacity of zero: no set, or no frame.
+    Empty,
+    /// The set count is not a power of two.
+    Sets {
+        /// The set count the capacity gives.
+        sets: u64,
+    },
+    /// Set dueling asks for more leader sets than the cache has.
+    Leaders {
+        /// Requested leader sets per side.
+        leaders_per_side: usize,
+        /// Sets in the cache.
+        sets: usize,
+    },
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            GeometryError::NoWays => write!(f, "associativity must be positive"),
+            GeometryError::NoBlockBytes => write!(f, "block size must be positive"),
+            GeometryError::Capacity {
+                size_bytes,
+                ways,
+                block_bytes,
+            } => write!(
+                f,
+                "capacity {size_bytes} is not a multiple of ways*block ({ways}*{block_bytes})"
+            ),
+            GeometryError::Empty => write!(f, "cache must hold at least one block"),
+            GeometryError::Sets { sets } => write!(f, "set count {sets} is not a power of two"),
+            GeometryError::Leaders {
+                leaders_per_side,
+                sets,
+            } => write!(
+                f,
+                "cannot place {leaders_per_side} leader sets per side in {sets} sets"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GeometryError {}
+
+/// Checks that `size_bytes` is a positive multiple of `ways * block_bytes`
+/// and returns the block-frame count that capacity holds.
+pub(crate) fn check_capacity(
+    size_bytes: u64,
+    ways: usize,
+    block_bytes: u64,
+) -> Result<u64, GeometryError> {
+    if ways == 0 {
+        return Err(GeometryError::NoWays);
+    }
+    if block_bytes == 0 {
+        return Err(GeometryError::NoBlockBytes);
+    }
+    let row = (ways as u64)
+        .checked_mul(block_bytes)
+        .filter(|row| size_bytes.is_multiple_of(*row))
+        .ok_or(GeometryError::Capacity {
+            size_bytes,
+            ways,
+            block_bytes,
+        })?;
+    if size_bytes == 0 {
+        return Err(GeometryError::Empty);
+    }
+    Ok(size_bytes / row * ways as u64)
+}
 
 /// Geometry of a set-associative cache.
 ///
@@ -34,31 +128,46 @@ impl CacheConfig {
         Self::with_block_bytes(size_bytes, ways, BLOCK_BYTES)
     }
 
+    /// Checked form of [`CacheConfig::from_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// The [`GeometryError`] `from_bytes` would panic with.
+    pub fn try_from_bytes(size_bytes: u64, ways: usize) -> Result<Self, GeometryError> {
+        Self::try_with_block_bytes(size_bytes, ways, BLOCK_BYTES)
+    }
+
     /// Creates a configuration with an explicit block size.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`CacheConfig::from_bytes`].
     pub fn with_block_bytes(size_bytes: u64, ways: usize, block_bytes: u64) -> Self {
-        assert!(ways > 0, "associativity must be positive");
-        assert!(block_bytes > 0, "block size must be positive");
-        assert_eq!(
-            size_bytes % (ways as u64 * block_bytes),
-            0,
-            "capacity {size_bytes} is not a multiple of ways*block ({ways}*{block_bytes})"
-        );
-        let sets = size_bytes / (ways as u64 * block_bytes);
-        assert!(sets > 0, "cache must have at least one set");
-        assert!(
-            sets.is_power_of_two(),
-            "set count {sets} is not a power of two"
-        );
-        Self {
+        Self::try_with_block_bytes(size_bytes, ways, block_bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Checked form of [`CacheConfig::with_block_bytes`]: ways and block
+    /// size must be positive, the capacity a positive multiple of
+    /// `ways * block_bytes`, and the set count a power of two.
+    ///
+    /// # Errors
+    ///
+    /// The first [`GeometryError`] that applies.
+    pub fn try_with_block_bytes(
+        size_bytes: u64,
+        ways: usize,
+        block_bytes: u64,
+    ) -> Result<Self, GeometryError> {
+        let sets = check_capacity(size_bytes, ways, block_bytes)? / ways as u64;
+        if !sets.is_power_of_two() {
+            return Err(GeometryError::Sets { sets });
+        }
+        Ok(Self {
             size_bytes,
             ways,
             block_bytes,
             set_mask: sets - 1,
-        }
+        })
     }
 
     /// Total capacity in bytes.
@@ -125,5 +234,36 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn unaligned_capacity_panics() {
         CacheConfig::from_bytes(1000, 4);
+    }
+
+    #[test]
+    fn checked_geometry_names_the_rule() {
+        assert_eq!(
+            CacheConfig::try_from_bytes(1000, 8),
+            Err(GeometryError::Capacity {
+                size_bytes: 1000,
+                ways: 8,
+                block_bytes: 64
+            })
+        );
+        assert_eq!(
+            CacheConfig::try_from_bytes(4096, 0),
+            Err(GeometryError::NoWays)
+        );
+        assert_eq!(CacheConfig::try_from_bytes(0, 8), Err(GeometryError::Empty));
+        assert_eq!(
+            CacheConfig::try_from_bytes(3 * 64 * 4, 4),
+            Err(GeometryError::Sets { sets: 3 })
+        );
+        assert_eq!(
+            CacheConfig::try_with_block_bytes(4096, 8, 0),
+            Err(GeometryError::NoBlockBytes)
+        );
+        // Huge associativities overflow the row size instead of wrapping.
+        assert!(CacheConfig::try_from_bytes(1 << 20, usize::MAX).is_err());
+        assert_eq!(
+            CacheConfig::try_from_bytes(64 * 1024, 8),
+            Ok(CacheConfig::from_bytes(64 * 1024, 8))
+        );
     }
 }

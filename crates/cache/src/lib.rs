@@ -46,7 +46,7 @@ pub mod stats;
 pub mod tenant;
 
 pub use cache::{AccessResult, SetAssocCache};
-pub use config::CacheConfig;
+pub use config::{CacheConfig, GeometryError};
 pub use csopt::{belady_misses, csopt_min_cost, CostedAccess, CsoptOutcome};
 pub use line::{Line, SetView};
 pub use partition::{DuelingController, Partition, PartitionError, SetRole};

@@ -3,6 +3,7 @@
 
 use maps_trace::BlockKind;
 
+use crate::config::GeometryError;
 use crate::psel::PselCounter;
 
 /// A partition split that would starve one side at a given associativity.
@@ -170,10 +171,9 @@ impl DuelingController {
     ) -> Self {
         partition_a.validate(ways);
         partition_b.validate(ways);
-        assert!(
-            2 * leaders_per_side <= sets,
-            "cannot place {leaders_per_side} leader sets per side in {sets} sets"
-        );
+        if let Err(e) = Self::check_leaders(sets, leaders_per_side) {
+            panic!("{e}");
+        }
         let mut roles = vec![SetRole::Follower; sets];
         if leaders_per_side > 0 {
             // Distribute leaders uniformly: interleave A and B leaders at a
@@ -189,6 +189,24 @@ impl DuelingController {
             partition_b,
             roles,
             psel: PselCounter::new(),
+        }
+    }
+
+    /// Checks that `sets` sets can hold `leaders_per_side` leader sets
+    /// for each partition, the geometry [`DuelingController::new`]
+    /// requires.
+    ///
+    /// # Errors
+    ///
+    /// [`GeometryError::Leaders`] when `2 * leaders_per_side > sets`.
+    pub fn check_leaders(sets: usize, leaders_per_side: usize) -> Result<(), GeometryError> {
+        if leaders_per_side <= sets / 2 {
+            Ok(())
+        } else {
+            Err(GeometryError::Leaders {
+                leaders_per_side,
+                sets,
+            })
         }
     }
 
@@ -306,6 +324,20 @@ mod tests {
             Partition::counter_ways(2),
             Partition::counter_ways(8), // would starve hashes
         );
+    }
+
+    #[test]
+    fn leader_count_is_checked_without_overflow() {
+        assert_eq!(DuelingController::check_leaders(128, 64), Ok(()));
+        for leaders_per_side in [65, 1000, usize::MAX] {
+            assert_eq!(
+                DuelingController::check_leaders(128, leaders_per_side),
+                Err(GeometryError::Leaders {
+                    leaders_per_side,
+                    sets: 128
+                })
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@ use maps_trace::rng::{SmallRng, SplitMix64};
 use maps_trace::{BlockKind, BLOCK_BYTES};
 
 use crate::cache::AccessResult;
-use crate::line::LineMeta;
+use crate::config::{check_capacity, GeometryError};
+use crate::line::{LineMeta, FULL_MASK};
 use crate::{CacheStats, Line};
 
 /// Number of tag-store skews (MIRAGE uses two).
@@ -73,8 +74,8 @@ pub fn derive_keys(seed: u64) -> ([u64; SKEWS], u64) {
 
 /// A fully-associative randomized cache over block keys, interface-
 /// compatible with [`SetAssocCache`](crate::SetAssocCache) at the call
-/// sites the metadata cache uses (access / probe / placeholder / partial
-/// writes / invalidate / drain / occupancy).
+/// sites the metadata cache uses (access / probe / slot writes / frame
+/// completion / drain / occupancy).
 #[derive(Debug, Clone)]
 pub struct RandomizedCache {
     size_bytes: u64,
@@ -116,18 +117,11 @@ impl RandomizedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not a positive multiple of `ways * 64`
-    /// (same geometry contract as
-    /// [`CacheConfig::from_bytes`](crate::CacheConfig::from_bytes)).
+    /// Panics with the [`GeometryError`] of
+    /// [`RandomizedCache::check_geometry`].
     pub fn new(size_bytes: u64, ways: usize, seed: u64) -> Self {
-        assert!(ways > 0, "associativity must be positive");
-        assert_eq!(
-            size_bytes % (ways as u64 * BLOCK_BYTES),
-            0,
-            "capacity {size_bytes} is not a multiple of ways*block ({ways}*{BLOCK_BYTES})"
-        );
-        let capacity = (size_bytes / BLOCK_BYTES) as usize;
-        assert!(capacity > 0, "cache must have at least one frame");
+        let capacity = check_capacity(size_bytes, ways, BLOCK_BYTES)
+            .unwrap_or_else(|e| panic!("{e}")) as usize;
         let sets = capacity.div_ceil(ways).next_power_of_two();
         let (seeds, rng_seed) = derive_keys(seed);
         let slots = SKEWS * sets * ways;
@@ -152,6 +146,18 @@ impl RandomizedCache {
             stats: CacheStats::default(),
             time: 0,
         }
+    }
+
+    /// Checks the geometry [`RandomizedCache::new`] requires: a capacity
+    /// that is a positive multiple of `ways * 64` bytes. Unlike the
+    /// set-associative geometry, the tag store rounds its set count up to
+    /// a power of two, so the frame count need not be one.
+    ///
+    /// # Errors
+    ///
+    /// The [`GeometryError`] `new` would panic with.
+    pub fn check_geometry(size_bytes: u64, ways: usize) -> Result<(), GeometryError> {
+        check_capacity(size_bytes, ways, BLOCK_BYTES).map(|_| ())
     }
 
     /// Installs a per-tenant frame quota of `capacity / tenants` frames
@@ -197,17 +203,6 @@ impl RandomizedCache {
         self.counts.get(tenant as usize).copied().unwrap_or(0)
     }
 
-    /// Returns `true` if `key` is resident (no state change).
-    pub fn contains(&self, key: u64) -> bool {
-        self.locate(key).is_some()
-    }
-
-    /// The resident line for `key`, if any (no state change).
-    pub fn line(&self, key: u64) -> Option<Line> {
-        let (_, frame) = self.locate(key)?;
-        Some(self.line_at(frame))
-    }
-
     /// Iterates over resident lines in frame order (the deterministic
     /// drain/writeback order).
     pub fn resident_lines(&self) -> impl Iterator<Item = Line> + '_ {
@@ -235,15 +230,17 @@ impl RandomizedCache {
             return AccessResult {
                 hit: true,
                 evicted: None,
+                frame,
             };
         }
         self.stats.record_access(kind, false);
         let mut new_line = Line::filled(key, kind, t);
         new_line.dirty = write;
-        let evicted = self.install(new_line, tenant);
+        let (frame, evicted) = self.install(new_line, tenant);
         AccessResult {
             hit: false,
             evicted,
+            frame,
         }
     }
 
@@ -255,52 +252,52 @@ impl RandomizedCache {
         hit
     }
 
-    /// Inserts a partial-write placeholder holding only sub-entry
-    /// `slot`. Misses only; the caller must have established
-    /// non-residency.
-    ///
-    /// Debug builds panic if `key` is already resident or `slot >= 8`.
-    pub fn insert_placeholder(
-        &mut self,
-        key: u64,
-        kind: BlockKind,
-        slot: u8,
-        tenant: u8,
-    ) -> Option<Line> {
-        debug_assert!(
-            self.locate(key).is_none(),
-            "placeholder insert for resident key {key}"
-        );
-        let t = self.time;
-        self.install(Line::placeholder(key, kind, t, slot), tenant)
-    }
-
-    /// Fused write-hit + mark-valid (the partial-write hit path); returns
-    /// the updated mask, or `None` (no state change) when `key` is not
-    /// resident.
+    /// Writes 8 B sub-entry `slot` of `key` as `tenant` with one tag
+    /// search (the partial-write path), under the set-associative
+    /// contract: a hit is a write hit that also marks the slot valid; a
+    /// miss records the miss and installs a placeholder holding only
+    /// `slot`, at the current time and without advancing it.
     ///
     /// Debug builds panic if `slot >= 8`.
-    pub fn access_mark_valid(&mut self, key: u64, kind: BlockKind, slot: u8) -> Option<u8> {
+    pub fn write_slot(&mut self, key: u64, kind: BlockKind, slot: u8, tenant: u8) -> AccessResult {
         debug_assert!(slot < 8, "sub-block slot {slot} out of range");
-        let (_, frame) = self.locate(key)?;
-        let t = self.time;
-        self.time += 1;
-        self.fstamps[frame] = t;
-        self.fmeta[frame].dirty = true;
-        self.stats.record_access(kind, true);
-        self.fmeta[frame].valid_mask |= 1 << slot;
-        Some(self.fmeta[frame].valid_mask)
+        if let Some((_, frame)) = self.locate(key) {
+            self.fstamps[frame] = self.time;
+            self.time += 1;
+            self.fmeta[frame].dirty = true;
+            self.fmeta[frame].valid_mask |= 1 << slot;
+            self.stats.record_access(kind, true);
+            return AccessResult {
+                hit: true,
+                evicted: None,
+                frame,
+            };
+        }
+        self.stats.record_access(kind, false);
+        let (frame, evicted) = self.install(Line::placeholder(key, kind, self.time, slot), tenant);
+        AccessResult {
+            hit: false,
+            evicted,
+            frame,
+        }
     }
 
-    /// Marks an additional valid sub-entry on a resident line; returns
-    /// the updated mask, or `None` if not resident.
-    pub fn mark_valid(&mut self, key: u64, slot: u8) -> Option<u8> {
-        debug_assert!(slot < 8, "sub-block slot {slot} out of range");
-        let (_, frame) = self.locate(key)?;
+    /// Marks every sub-entry of the line in `frame` valid (after a
+    /// completing fill read), returning whether any was missing.
+    /// Completing sets the dirty bit, as a slot write does; a complete
+    /// line is left untouched.
+    pub fn complete_frame(&mut self, frame: usize) -> bool {
+        debug_assert_ne!(
+            self.fkeys[frame], EMPTY_TAG,
+            "complete_frame on a free frame"
+        );
         let m = &mut self.fmeta[frame];
-        m.valid_mask |= 1 << slot;
+        if m.valid_mask == FULL_MASK {
+            return false;
+        }
+        m.valid_mask = FULL_MASK;
         m.dirty = true;
-        Some(m.valid_mask)
+        true
     }
 
     /// Removes `key` if resident, returning the line.
@@ -389,7 +386,9 @@ impl RandomizedCache {
     /// another tenant); with ~2x tag provisioning they are rare enough
     /// that the quota drift is negligible, mirroring MIRAGE's security
     /// argument for set-conflict evictions.
-    fn install(&mut self, new_line: Line, tenant: u8) -> Option<Line> {
+    ///
+    /// Returns the frame the line went into and the victim, if any.
+    fn install(&mut self, new_line: Line, tenant: u8) -> (usize, Option<Line>) {
         debug_assert_ne!(
             new_line.key, EMPTY_TAG,
             "key collides with the empty-frame sentinel"
@@ -441,7 +440,7 @@ impl RandomizedCache {
             // Unreachable by construction: every eviction above pushes a
             // frame, and capacity > 0.
             debug_assert!(false, "free list empty after eviction");
-            return victim;
+            return (0, victim);
         };
         self.fkeys[frame] = new_line.key;
         self.fstamps[frame] = new_line.last_at;
@@ -459,7 +458,7 @@ impl RandomizedCache {
         if let Some(v) = &victim {
             self.stats.record_eviction(v.kind, v.dirty);
         }
-        victim
+        (frame, victim)
     }
 
     /// Evicts a uniformly random live frame owned by `tenant` (the
@@ -503,9 +502,10 @@ mod tests {
         assert!(!r.hit && r.evicted.is_none());
         let r = c.access(7, BlockKind::Counter, false, 0);
         assert!(r.hit);
+        assert_eq!(c.frame_of(7), Some(r.frame));
         let s = c.stats().kind(BlockKind::Counter);
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!(c.line(7).unwrap().dirty);
+        assert!(c.resident_lines().next().unwrap().dirty);
     }
 
     #[test]
@@ -568,28 +568,24 @@ mod tests {
     }
 
     #[test]
-    fn placeholders_and_partial_writes_match_set_assoc_contract() {
+    fn slot_writes_match_set_assoc_contract() {
         let mut c = cache(16);
-        assert!(c.insert_placeholder(3, BlockKind::Hash, 2, 0).is_none());
-        assert!(c.contains(3));
-        assert_eq!(c.mark_valid(3, 5), Some(0b0010_0100));
-        assert_eq!(
-            c.access_mark_valid(3, BlockKind::Hash, 0),
-            Some(0b0010_0101)
-        );
-        assert_eq!(c.mark_valid(99, 0), None);
-        assert_eq!(c.access_mark_valid(99, BlockKind::Hash, 0), None);
+        let r = c.write_slot(3, BlockKind::Hash, 2, 0);
+        assert!(!r.hit && r.evicted.is_none());
+        assert_eq!(c.frame_of(3), Some(r.frame));
+        // The placeholder install is not an access: time stays put.
+        assert_eq!(c.time(), 0);
+        let r2 = c.write_slot(3, BlockKind::Hash, 5, 0);
+        assert!(r2.hit);
+        assert_eq!(r2.frame, r.frame);
+        assert_eq!(c.resident_lines().next().unwrap().valid_mask, 0b0010_0100);
+        let s = c.stats().kind(BlockKind::Hash);
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert!(c.complete_frame(r.frame));
+        assert!(!c.complete_frame(r.frame), "a complete line stays as it is");
         let inv = c.invalidate(3).unwrap();
-        assert!(inv.dirty && !inv.is_complete());
+        assert!(inv.dirty && inv.is_complete());
         assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "resident key")]
-    fn placeholder_for_resident_key_panics() {
-        let mut c = cache(16);
-        c.access(3, BlockKind::Hash, false, 0);
-        c.insert_placeholder(3, BlockKind::Hash, 0, 0);
     }
 
     #[test]
@@ -629,8 +625,12 @@ mod tests {
         // cache must keep absorbing accesses without leaking occupancy.
         let mut c = RandomizedCache::new(4 * 64, 1, 7);
         for k in 0..200u64 {
-            c.access(k, BlockKind::Data, false, 0);
-            assert!(c.contains(k), "freshly installed key must be resident");
+            let r = c.access(k, BlockKind::Data, false, 0);
+            assert_eq!(
+                c.frame_of(k),
+                Some(r.frame),
+                "freshly installed key must be resident"
+            );
         }
         assert!(c.occupancy() <= 4);
     }

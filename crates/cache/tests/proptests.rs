@@ -123,10 +123,10 @@ proptest! {
         slots in prop::collection::vec(0u8..8, 1..20),
     ) {
         let mut cache = SetAssocCache::new(CacheConfig::from_bytes(64, 1), TrueLru::new());
-        cache.insert_placeholder(1, BlockKind::Hash, slots[0], None);
-        let mut prev = cache.line(1).expect("resident").valid_mask;
+        cache.write_slot(1, BlockKind::Hash, slots[0], None);
+        let mut prev = 1 << slots[0];
         for &s in &slots[1..] {
-            let mask = cache.mark_valid(1, s).expect("still resident");
+            let mask = cache.access_mark_valid(1, BlockKind::Hash, s).expect("still resident");
             prop_assert_eq!(mask & prev, prev, "bits must never clear");
             prop_assert_ne!(mask & (1 << s), 0);
             prev = mask;

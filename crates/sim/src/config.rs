@@ -23,7 +23,7 @@
 //! by re-deriving the trace. Farm jobs refuse both policies.
 
 use maps_cache::policy::AnyPolicy;
-use maps_cache::Partition;
+use maps_cache::{CacheConfig, DuelingController, GeometryError, Partition, RandomizedCache};
 use maps_mem::DramModel;
 use maps_obs::{CodecError, Json};
 use maps_secure::CounterMode;
@@ -194,10 +194,10 @@ pub enum PartitionMode {
 pub enum MdcDesign {
     /// Conventional set-associative cache (the paper's design).
     SetAssoc,
-    /// Fully-associative randomized cache
-    /// ([`RandomizedCache`](maps_cache::RandomizedCache)). Replacement
-    /// policy and counter/hash partitioning knobs are structural no-ops
-    /// under this design; `PerTenant` partitioning maps to a frame quota.
+    /// Fully-associative randomized cache ([`RandomizedCache`]).
+    /// Replacement policy and counter/hash partitioning knobs are
+    /// structural no-ops under this design; `PerTenant` partitioning maps
+    /// to a frame quota.
     Randomized {
         /// Seed keying the skew hashes and the eviction RNG.
         seed: u64,
@@ -440,8 +440,9 @@ impl SimConfig {
     /// # Errors
     ///
     /// [`CodecError::Missing`] or [`CodecError::Invalid`] for a missing or
-    /// mistyped field, an unknown name, or a partition that would starve
-    /// a metadata type or a tenant.
+    /// mistyped field, an unknown name, a partition that would starve a
+    /// metadata type or a tenant, or a cache geometry its constructor
+    /// would refuse ([`SimConfig::check_geometry`]).
     pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let mdc_doc = doc.field("mdc")?;
         let contents_doc = mdc_doc.field("contents")?;
@@ -477,7 +478,7 @@ impl SimConfig {
             energy_per_bit_pj: dram_doc.f64_bits_field("energy_per_bit_pj_bits")?,
             background_pj_per_cycle: dram_doc.f64_bits_field("background_pj_per_cycle_bits")?,
         };
-        Ok(SimConfig {
+        let cfg = SimConfig {
             l1_bytes: doc.u64_field("l1_bytes")?,
             l1_ways: doc.usize_field("l1_ways")?,
             l2_bytes: doc.u64_field("l2_bytes")?,
@@ -493,7 +494,61 @@ impl SimConfig {
             speculation_window: doc.u64_field("speculation_window")?,
             secure: doc.bool_field("secure")?,
             warmup_fraction: doc.f64_bits_field("warmup_fraction_bits")?,
-        })
+        };
+        cfg.check_geometry()?;
+        Ok(cfg)
+    }
+
+    /// Checks that every cache this configuration builds has a geometry
+    /// its constructor accepts: the L1, L2 and LLC, and the metadata cache
+    /// unless its size is 0 (disabled). The rules themselves live beside
+    /// the constructors' asserts in `maps_cache`; this names the field
+    /// that breaks one. [`SimConfig::from_json`] calls it, so a decoded
+    /// configuration never reaches those asserts.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Invalid`] naming the offending field.
+    pub fn check_geometry(&self) -> Result<(), CodecError> {
+        for (bytes, ways, size_field, ways_field) in [
+            (self.l1_bytes, self.l1_ways, "cfg.l1_bytes", "cfg.l1_ways"),
+            (self.l2_bytes, self.l2_ways, "cfg.l2_bytes", "cfg.l2_ways"),
+            (
+                self.llc_bytes,
+                self.llc_ways,
+                "cfg.llc_bytes",
+                "cfg.llc_ways",
+            ),
+        ] {
+            CacheConfig::try_from_bytes(bytes, ways)
+                .map_err(|e| geometry_error(e, size_field, ways_field))?;
+        }
+        let mdc = &self.mdc;
+        if mdc.size_bytes == 0 {
+            return Ok(());
+        }
+        let (size_field, ways_field) = ("cfg.mdc.size_bytes", "cfg.mdc.ways");
+        match mdc.design {
+            MdcDesign::SetAssoc => {
+                let geometry = CacheConfig::try_from_bytes(mdc.size_bytes, mdc.ways)
+                    .map_err(|e| geometry_error(e, size_field, ways_field))?;
+                if let PartitionMode::Dynamic {
+                    leaders_per_side, ..
+                } = mdc.partition
+                {
+                    DuelingController::check_leaders(geometry.sets(), leaders_per_side).map_err(
+                        |e| {
+                            CodecError::invalid("cfg.mdc.partition.leaders_per_side", e.to_string())
+                        },
+                    )?;
+                }
+            }
+            MdcDesign::Randomized { .. } => {
+                RandomizedCache::check_geometry(mdc.size_bytes, mdc.ways)
+                    .map_err(|e| geometry_error(e, size_field, ways_field))?;
+            }
+        }
+        Ok(())
     }
 
     /// Warm-up accesses of an `accesses`-long run: `warmup_fraction` of
@@ -503,6 +558,20 @@ impl SimConfig {
     pub(crate) fn warmup_accesses(&self, accesses: u64) -> u64 {
         ((accesses as f64 * self.warmup_fraction) as u64).min(accesses)
     }
+}
+
+/// Names the field a cache's [`GeometryError`] is about: its way count
+/// for zero ways, else its capacity.
+fn geometry_error(
+    e: GeometryError,
+    size_field: &'static str,
+    ways_field: &'static str,
+) -> CodecError {
+    let field = match e {
+        GeometryError::NoWays => ways_field,
+        _ => size_field,
+    };
+    CodecError::invalid(field, e.to_string())
 }
 
 /// A policy by name plus its parameter; MIN oracle traces are written by

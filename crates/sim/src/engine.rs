@@ -488,10 +488,9 @@ impl MetadataEngine {
                 if out.hit {
                     // A partially-valid line must be completed from memory
                     // before its missing sub-entries can be consumed.
-                    if self.partial_writes && mdc.valid_mask(block.index()) != Some(0xFF) {
+                    if self.partial_writes && out.frame.is_some_and(|f| mdc.complete_frame(f)) {
                         self.stats.dram_meta.reads += 1;
                         self.stats.partial_fill_reads += 1;
-                        mdc.complete_line(block.index());
                     }
                     true
                 } else {
@@ -604,7 +603,7 @@ impl MetadataEngine {
         match &mut self.mdc {
             Some(mdc) if HAS_MDC => {
                 let out = mdc.write_partial(block.index(), kind, slot, tenant);
-                if out.bypassed {
+                if out.bypassed() {
                     self.stats.meta.record_access(kind, false);
                     self.stats.dram_meta.reads += 1;
                     self.stats.dram_meta.writes += 1;
@@ -661,6 +660,11 @@ impl MetadataEngine {
         tenant: TenantId,
         obs: &mut O,
     ) {
+        if !first.dirty {
+            // A clean victim is dropped: no writeback, no tree update.
+            obs.cascade_complete(0);
+            return;
+        }
         let mut queue = std::mem::take(&mut self.cascade_buf);
         queue.clear();
         queue.push(first);
@@ -705,7 +709,7 @@ impl MetadataEngine {
             ));
             if let Some(mdc) = self.mdc.as_mut().filter(|_| HAS_MDC) {
                 let out = mdc.write_partial(node.index(), BlockKind::Tree(level), slot, tenant);
-                if out.bypassed {
+                if out.bypassed() {
                     self.stats.meta.record_access(BlockKind::Tree(level), false);
                     self.stats.dram_meta.reads += 1;
                     self.stats.dram_meta.writes += 1;

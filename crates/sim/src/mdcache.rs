@@ -11,7 +11,7 @@
 
 use maps_cache::policy::AnyPolicy;
 use maps_cache::{
-    CacheConfig, CacheStats, DuelingController, Line, RandomizedCache, SetAssocCache,
+    AccessResult, CacheConfig, CacheStats, DuelingController, Line, RandomizedCache, SetAssocCache,
     TenantPartition, TenantStatsTable,
 };
 use maps_trace::{BlockKind, TenantId};
@@ -25,9 +25,34 @@ pub struct MdOutcome {
     pub hit: bool,
     /// Line evicted to make room, if any.
     pub evicted: Option<Line>,
-    /// `true` when the kind is not admitted under the contents
-    /// configuration (the access was a statistics-only probe).
-    pub bypassed: bool,
+    /// The frame that holds the key after the call: the one that hit, or
+    /// the one the fill used (see [`MetadataCache::complete_frame`]).
+    /// `None` when the kind is not admitted under the contents
+    /// configuration, so the call was a statistics-only probe.
+    pub frame: Option<usize>,
+}
+
+impl MdOutcome {
+    /// Whether the kind was not admitted (the call only probed).
+    pub const fn bypassed(&self) -> bool {
+        self.frame.is_none()
+    }
+
+    const fn bypass(hit: bool) -> Self {
+        Self {
+            hit,
+            evicted: None,
+            frame: None,
+        }
+    }
+
+    const fn admitted(r: AccessResult) -> Self {
+        Self {
+            hit: r.hit,
+            evicted: r.evicted,
+            frame: Some(r.frame),
+        }
+    }
 }
 
 /// The pluggable cache core behind the metadata-cache interface.
@@ -197,7 +222,7 @@ impl MetadataCache {
     ///
     /// # Panics
     ///
-    /// Panics if `slot >= 8`.
+    /// Debug builds panic if `slot >= 8`.
     #[inline]
     pub fn write_partial(
         &mut self,
@@ -206,7 +231,16 @@ impl MetadataCache {
         slot: u8,
         tenant: TenantId,
     ) -> MdOutcome {
-        let out = self.write_partial_inner(key, kind, slot, tenant);
+        debug_assert!(slot < 8, "sub-block slot {slot} out of range");
+        let out = if self.partial_writes {
+            self.write_slot_inner(key, kind, slot, tenant)
+        } else {
+            // Only the partial-write miss path fills placeholders, so
+            // every resident line is complete and setting a slot changes
+            // nothing: the slot write is a write access (a miss fetches
+            // the block and inserts it complete).
+            self.access_inner(key, kind, true, tenant)
+        };
         self.attribute(key, kind, tenant, &out);
         out
     }
@@ -218,29 +252,45 @@ impl MetadataCache {
     /// `access`/`write_partial` call records exactly one access of `kind`
     /// in the backend's stats (a hit, a miss, or a bypass probe) and at
     /// most one eviction, which is the victim it returns. An admitted miss
-    /// always installs `key` (complete line or placeholder), and a fill
-    /// that returned a victim reused the victim's frame in both backends
-    /// (the same way of the set, or the frame just pushed on top of the
-    /// free stack), so the owner column debits the victim's owner.
+    /// always installs `key` (complete line or placeholder) in the frame
+    /// the call reports, and a fill that returned a victim reused the
+    /// victim's frame in both backends (the same way of the set, or the
+    /// frame just pushed on top of the free stack), so the owner column
+    /// debits the victim's owner.
     fn attribute(&mut self, key: u64, kind: BlockKind, tenant: TenantId, out: &MdOutcome) {
         self.tenants
             .book(tenant.0, kind, out.hit, out.evicted.as_ref());
-        if !out.hit && !out.bypassed {
-            let frame = match &self.backend {
-                Backend::Set(c) => c.frame_of(key),
-                Backend::Rand(c) => c.frame_of(key),
-            };
-            debug_assert!(frame.is_some(), "admitted miss left key {key} unresident");
-            if let Some(frame) = frame {
-                self.tenants
-                    .note_fill(frame, tenant.0, out.evicted.is_some());
-            }
+        if let (false, Some(frame)) = (out.hit, out.frame) {
+            self.tenants
+                .note_fill(frame, tenant.0, out.evicted.is_some());
         }
+        debug_assert!(
+            out.bypassed() || self.frame_of(key) == out.frame,
+            "key {key} reported in frame {:?} but found in {:?}",
+            out.frame,
+            self.frame_of(key)
+        );
         debug_assert_eq!(
             self.tenants.combined(),
             *self.stats(),
             "per-tenant booking diverged from the cache's stats"
         );
+    }
+
+    /// The frame holding `key`, searched afresh (the check on the frames
+    /// the calls report).
+    fn frame_of(&self, key: u64) -> Option<usize> {
+        match &self.backend {
+            Backend::Set(c) => c.frame_of(key),
+            Backend::Rand(c) => c.frame_of(key),
+        }
+    }
+
+    fn probe(&mut self, key: u64, kind: BlockKind) -> MdOutcome {
+        MdOutcome::bypass(match &mut self.backend {
+            Backend::Set(c) => c.probe(key, kind),
+            Backend::Rand(c) => c.probe(key, kind),
+        })
     }
 
     fn access_inner(
@@ -250,37 +300,25 @@ impl MetadataCache {
         write: bool,
         tenant: TenantId,
     ) -> MdOutcome {
+        if !self.contents.admits(kind) {
+            return self.probe(key, kind);
+        }
         let Self {
             backend,
             dueling,
             tenant_split,
             ways,
-            contents,
             ..
         } = self;
-        if !contents.admits(kind) {
-            let hit = match backend {
-                Backend::Set(c) => c.probe(key, kind),
-                Backend::Rand(c) => c.probe(key, kind),
-            };
-            return MdOutcome {
-                hit,
-                evicted: None,
-                bypassed: true,
-            };
-        }
-        let r = match backend {
+        MdOutcome::admitted(match backend {
             Backend::Set(cache) => {
                 if let Some(split) = tenant_split {
                     cache.access_in_ways(key, kind, write, split.ways_for(tenant.0, *ways))
-                } else if dueling.is_some() {
+                } else if let Some(d) = dueling {
                     let set = cache.config().set_of(key);
-                    let partition = dueling.as_ref().map(|d| d.partition_for(set));
-                    let r = cache.access_with(key, kind, write, partition.as_ref());
+                    let r = cache.access_with(key, kind, write, Some(&d.partition_for(set)));
                     if !r.hit {
-                        if let Some(d) = dueling {
-                            d.record_miss(set);
-                        }
+                        d.record_miss(set);
                     }
                     r
                 } else {
@@ -288,15 +326,12 @@ impl MetadataCache {
                 }
             }
             Backend::Rand(cache) => cache.access(key, kind, write, tenant.0),
-        };
-        MdOutcome {
-            hit: r.hit,
-            evicted: r.evicted,
-            bypassed: false,
-        }
+        })
     }
 
-    fn write_partial_inner(
+    /// The partial-write path: one backend call that marks the slot on a
+    /// hit and fills a placeholder on a miss.
+    fn write_slot_inner(
         &mut self,
         key: u64,
         kind: BlockKind,
@@ -304,30 +339,7 @@ impl MetadataCache {
         tenant: TenantId,
     ) -> MdOutcome {
         if !self.contents.admits(kind) {
-            let hit = match &mut self.backend {
-                Backend::Set(c) => c.probe(key, kind),
-                Backend::Rand(c) => c.probe(key, kind),
-            };
-            return MdOutcome {
-                hit,
-                evicted: None,
-                bypassed: true,
-            };
-        }
-        let resident = match &mut self.backend {
-            Backend::Set(c) => c.access_mark_valid(key, kind, slot).is_some(),
-            Backend::Rand(c) => c.access_mark_valid(key, kind, slot).is_some(),
-        };
-        if resident {
-            return MdOutcome {
-                hit: true,
-                evicted: None,
-                bypassed: false,
-            };
-        }
-        if !self.partial_writes {
-            // Caller must fetch the block from memory; insert it complete.
-            return self.access_inner(key, kind, true, tenant);
+            return self.probe(key, kind);
         }
         let Self {
             backend,
@@ -336,64 +348,34 @@ impl MetadataCache {
             ways,
             ..
         } = self;
-        // Record the miss in both cache stats and the dueling selector.
-        let evicted = match backend {
+        MdOutcome::admitted(match backend {
             Backend::Set(cache) => {
-                let set = cache.config().set_of(key);
-                let partition = dueling.as_ref().map(|d| d.partition_for(set));
-                cache.probe(key, kind);
-                if let Some(d) = dueling {
-                    d.record_miss(set);
-                }
                 if let Some(split) = tenant_split {
-                    cache.insert_placeholder_in_ways(
-                        key,
-                        kind,
-                        slot,
-                        split.ways_for(tenant.0, *ways),
-                    )
+                    cache.write_slot_in_ways(key, kind, slot, split.ways_for(tenant.0, *ways))
+                } else if let Some(d) = dueling {
+                    // The partition is picked before the miss is voted.
+                    let set = cache.config().set_of(key);
+                    let r = cache.write_slot(key, kind, slot, Some(&d.partition_for(set)));
+                    if !r.hit {
+                        d.record_miss(set);
+                    }
+                    r
                 } else {
-                    cache.insert_placeholder(key, kind, slot, partition.as_ref())
+                    cache.write_slot(key, kind, slot, None)
                 }
             }
-            Backend::Rand(cache) => {
-                cache.probe(key, kind);
-                cache.insert_placeholder(key, kind, slot, tenant.0)
-            }
-        };
-        MdOutcome {
-            hit: false,
-            evicted,
-            bypassed: false,
-        }
+            Backend::Rand(cache) => cache.write_slot(key, kind, slot, tenant.0),
+        })
     }
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: u64) -> bool {
-        match &self.backend {
-            Backend::Set(c) => c.contains(key),
-            Backend::Rand(c) => c.contains(key),
-        }
-    }
-
-    /// Valid mask of a resident line, if any.
-    pub fn valid_mask(&self, key: u64) -> Option<u8> {
-        match &self.backend {
-            Backend::Set(c) => c.line(key).map(|l| l.valid_mask),
-            Backend::Rand(c) => c.line(key).map(|l| l.valid_mask),
-        }
-    }
-
-    /// Marks a resident line fully valid (after a completing fill read).
-    pub fn complete_line(&mut self, key: u64) {
-        for slot in 0..8 {
-            let marked = match &mut self.backend {
-                Backend::Set(c) => c.mark_valid(key, slot),
-                Backend::Rand(c) => c.mark_valid(key, slot),
-            };
-            if marked.is_none() {
-                break;
-            }
+    /// Marks the line in `frame` (an admitted call's
+    /// [`MdOutcome::frame`]) fully valid after a completing fill read,
+    /// returning whether any sub-entry was missing. Completing sets the
+    /// dirty bit, as a slot write does; a complete line is left untouched.
+    pub fn complete_frame(&mut self, frame: usize) -> bool {
+        match &mut self.backend {
+            Backend::Set(c) => c.complete_frame(frame),
+            Backend::Rand(c) => c.complete_frame(frame),
         }
     }
 
@@ -450,12 +432,21 @@ impl MetadataCache {
 mod tests {
     use super::*;
     use crate::config::PolicyChoice;
+    use maps_cache::line::FULL_MASK;
     use maps_cache::Partition;
+    use proptest::prelude::*;
 
     const T0: TenantId = TenantId::HOST;
 
     fn cfg() -> MdcConfig {
         MdcConfig::paper_default().with_size(4096)
+    }
+
+    /// The valid mask of `key`'s resident line, if any.
+    fn valid_mask(mdc: &MetadataCache, key: u64) -> Option<u8> {
+        mdc.resident_lines()
+            .find(|l| l.key == key)
+            .map(|l| l.valid_mask)
     }
 
     #[test]
@@ -468,9 +459,9 @@ mod tests {
         let mut mdc =
             MetadataCache::new(&cfg().with_contents(CacheContents::COUNTERS_ONLY)).unwrap();
         let out = mdc.access(7, BlockKind::Hash, false, T0);
-        assert!(out.bypassed);
+        assert!(out.bypassed());
         assert!(!out.hit);
-        assert!(!mdc.contains(7));
+        assert_eq!(mdc.occupancy(), 0);
         // Misses recorded for MPKI accounting.
         assert_eq!(mdc.stats().kind(BlockKind::Hash).misses, 1);
     }
@@ -482,12 +473,13 @@ mod tests {
         let mut mdc = MetadataCache::new(&cfg).unwrap();
         let out = mdc.write_partial(9, BlockKind::Hash, 3, T0);
         assert!(!out.hit);
-        assert!(!out.bypassed);
-        assert_eq!(mdc.valid_mask(9), Some(0b1000));
+        assert!(!out.bypassed());
+        assert_eq!(valid_mask(&mdc, 9), Some(0b1000));
         // A second write to another slot coalesces.
         let out2 = mdc.write_partial(9, BlockKind::Hash, 4, T0);
         assert!(out2.hit);
-        assert_eq!(mdc.valid_mask(9), Some(0b11000));
+        assert_eq!(out2.frame, out.frame);
+        assert_eq!(valid_mask(&mdc, 9), Some(0b11000));
     }
 
     #[test]
@@ -495,17 +487,21 @@ mod tests {
         let mut mdc = MetadataCache::new(&cfg()).unwrap();
         let out = mdc.write_partial(9, BlockKind::Hash, 3, T0);
         assert!(!out.hit);
-        assert_eq!(mdc.valid_mask(9), Some(0xFF));
+        assert_eq!(valid_mask(&mdc, 9), Some(0xFF));
     }
 
     #[test]
-    fn complete_line_fills_mask() {
+    fn complete_frame_fills_mask() {
         let mut cfg = cfg();
         cfg.partial_writes = true;
         let mut mdc = MetadataCache::new(&cfg).unwrap();
-        mdc.write_partial(9, BlockKind::Hash, 0, T0);
-        mdc.complete_line(9);
-        assert_eq!(mdc.valid_mask(9), Some(0xFF));
+        let out = mdc.write_partial(9, BlockKind::Hash, 0, T0);
+        let hit = mdc.access(9, BlockKind::Hash, false, T0);
+        assert!(hit.hit);
+        assert_eq!(hit.frame, out.frame);
+        assert!(mdc.complete_frame(hit.frame.unwrap()));
+        assert_eq!(valid_mask(&mdc, 9), Some(0xFF));
+        assert!(!mdc.complete_frame(hit.frame.unwrap()));
     }
 
     #[test]
@@ -570,10 +566,10 @@ mod tests {
         assert!(!mdc.access(5, BlockKind::Counter, false, T0).hit);
         assert!(mdc.access(5, BlockKind::Counter, false, T0).hit);
         let out = mdc.write_partial(9, BlockKind::Hash, 3, T0);
-        assert!(!out.hit && !out.bypassed);
-        assert_eq!(mdc.valid_mask(9), Some(0b1000));
-        mdc.complete_line(9);
-        assert_eq!(mdc.valid_mask(9), Some(0xFF));
+        assert!(!out.hit && !out.bypassed());
+        assert_eq!(valid_mask(&mdc, 9), Some(0b1000));
+        assert!(mdc.complete_frame(out.frame.unwrap()));
+        assert_eq!(valid_mask(&mdc, 9), Some(0xFF));
         assert_eq!(mdc.occupancy(), 2);
         assert_eq!(mdc.drain().len(), 2);
         assert_eq!(mdc.occupancy(), 0);
@@ -631,6 +627,123 @@ mod tests {
                         assert_ledger_conserves(&c);
                     }
                 }
+            }
+        }
+    }
+
+    fn kind_of(sel: u8) -> BlockKind {
+        match sel % 4 {
+            0 => BlockKind::Counter,
+            1 => BlockKind::Hash,
+            2 => BlockKind::Tree(0),
+            _ => BlockKind::Tree(1),
+        }
+    }
+
+    fn designs() -> Vec<MdcDesign> {
+        vec![MdcDesign::SetAssoc, MdcDesign::Randomized { seed: 0x5EED }]
+    }
+
+    fn partitions() -> Vec<PartitionMode> {
+        vec![
+            PartitionMode::None,
+            PartitionMode::Static(Partition::counter_ways(3)),
+            PartitionMode::Dynamic {
+                a: Partition::counter_ways(2),
+                b: Partition::counter_ways(6),
+                leaders_per_side: 2,
+            },
+            PartitionMode::PerTenant { tenants: 3 },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The frame contract the owner column and line completion rely
+        // on: after every access, slot write and bypass probe, a fresh
+        // search finds the key in the frame the call reported (and a
+        // probe reports none and leaves the key out). The ledger's sums
+        // cannot see a wrong frame in a single-tenant run; this can.
+        #[test]
+        fn reported_frames_hold_their_keys(
+            // `(block, kind selector, op selector, slot and tenant)`.
+            ops in prop::collection::vec((0u64..96, 0u8..4, 0u8..3, 0u8..8), 1..300),
+            design in prop::sample::select(designs()),
+            partition in prop::sample::select(partitions()),
+            contents in prop::sample::select(vec![
+                CacheContents::ALL,
+                CacheContents::COUNTERS_AND_HASHES,
+                CacheContents::COUNTERS_ONLY,
+            ]),
+            partial_writes in any::<bool>(),
+        ) {
+            // 2 KB, 8-way: 4 sets, room for one dueling leader set per side.
+            let mut c = MdcConfig::paper_default()
+                .with_size(2048)
+                .with_design(design)
+                .with_partition(partition)
+                .with_contents(contents);
+            c.partial_writes = partial_writes;
+            let mut mdc = MetadataCache::new(&c).unwrap();
+            for (i, &(block, sel, op, x)) in ops.iter().enumerate() {
+                let kind = kind_of(sel);
+                // Disjoint key spaces per kind, like the real layout.
+                let key = block + u64::from(sel) * 4096;
+                let tenant = TenantId(x % 3);
+                let out = match op {
+                    0 => mdc.access(key, kind, false, tenant),
+                    1 => mdc.access(key, kind, true, tenant),
+                    _ => mdc.write_partial(key, kind, x, tenant),
+                };
+                prop_assert_eq!(out.bypassed(), !contents.admits(kind), "op {}: {:?}", i, out);
+                prop_assert_eq!(
+                    mdc.frame_of(key),
+                    out.frame,
+                    "op {} ({:?} of {}) under {:?}",
+                    i,
+                    kind,
+                    key,
+                    c
+                );
+            }
+        }
+
+        // The precondition of serving a slot write as a write access:
+        // without partial writes, only complete lines are ever resident,
+        // whatever mix of accesses, slot writes and drains runs.
+        #[test]
+        fn without_partial_writes_resident_lines_stay_complete(
+            // `(block, kind selector, op selector, slot)`; op 15 drains.
+            ops in prop::collection::vec((0u64..96, 0u8..4, 0u8..16, 0u8..8), 1..300),
+            design in prop::sample::select(designs()),
+            partition in prop::sample::select(partitions()),
+        ) {
+            let c = MdcConfig::paper_default()
+                .with_size(2048)
+                .with_design(design)
+                .with_partition(partition);
+            let mut mdc = MetadataCache::new(&c).unwrap();
+            for (i, &(block, sel, op, slot)) in ops.iter().enumerate() {
+                let kind = kind_of(sel);
+                let key = block + u64::from(sel) * 4096;
+                let tenant = TenantId(slot % 3);
+                match op {
+                    0..=4 => {
+                        mdc.access(key, kind, false, tenant);
+                    }
+                    5..=9 => {
+                        mdc.access(key, kind, true, tenant);
+                    }
+                    10..=14 => {
+                        mdc.write_partial(key, kind, slot, tenant);
+                    }
+                    _ => {
+                        mdc.drain();
+                    }
+                }
+                let incomplete = mdc.resident_lines().find(|l| l.valid_mask != FULL_MASK);
+                prop_assert!(incomplete.is_none(), "op {}: {:?} under {:?}", i, incomplete, c);
             }
         }
     }
